@@ -272,32 +272,17 @@ class WorkloadRun:
 
 @dataclass
 class ClusterRun:
-    """The sharded cluster executed sequentially and in parallel.
+    """The sharded cluster workload executed in both modes.
 
-    Three runs of the identical workload: naive ``jobs=1``, vectorized
-    ``jobs=1``, and vectorized ``jobs=N``. ``mode_drift`` is the exact
-    recursive diff of the first two reports (host-execution-mode
-    equivalence), ``jobs_drift`` of the last two (parallel-merge
-    determinism); both must be empty.
+    ``mode_drift`` is the exact recursive diff of the naive and the
+    vectorized run's reports; it must be empty.
     """
 
     shards: int
-    jobs: int
     report: Dict[str, object]
     mode_drift: List[str]
-    jobs_drift: List[str]
     naive_s: float
-    sequential_s: float
-    parallel_s: float
-
-    @property
-    def parallel_speedup(self) -> float:
-        """Sequential over parallel wall-clock (vectorized both sides)."""
-        return (
-            self.sequential_s / self.parallel_s
-            if self.parallel_s
-            else float("inf")
-        )
+    vectorized_s: float
 
 
 @dataclass
@@ -312,22 +297,16 @@ class BenchResult:
     baseline_drift: List[str]
     min_speedup: float
     min_oltp_speedup: float = 0.0
-    min_parallel_speedup: float = 0.0
     cluster: Optional[ClusterRun] = None
     snapshot: Dict[str, object] = field(default_factory=dict)
 
     @property
     def simulated_identical(self) -> bool:
-        """Every execution mode agrees on every simulated metric:
-        naive vs. vectorized per workload, and ``jobs=1`` vs. ``jobs=N``
-        on the cluster workload."""
+        """Naive and vectorized agree on every simulated metric of every
+        workload, the cluster workload included."""
         if any(run.mode_drift for run in self.runs):
             return False
-        if self.cluster is not None and (
-            self.cluster.mode_drift or self.cluster.jobs_drift
-        ):
-            return False
-        return True
+        return self.cluster is None or not self.cluster.mode_drift
 
     @property
     def speedup_ok(self) -> bool:
@@ -348,33 +327,24 @@ class BenchResult:
         )
 
     @property
-    def parallel_speedup_ok(self) -> bool:
-        """The cluster workload meets its jobs=1/jobs=N wall-clock bar."""
-        if self.cluster is None:
-            return True
-        return self.cluster.parallel_speedup >= self.min_parallel_speedup
-
-    @property
     def passed(self) -> bool:
         return (
             self.simulated_identical
             and not self.baseline_drift
             and self.speedup_ok
             and self.oltp_speedup_ok
-            and self.parallel_speedup_ok
         )
 
 
 def _run_cluster_compare(
     shards: int,
-    jobs: int,
     intervals: int,
     txns_per_query: int,
     scale: float,
     seed: int,
     defrag_period: int,
 ) -> ClusterRun:
-    """Run the sharded cluster workload three ways and diff the reports.
+    """Run the sharded cluster workload in both modes and diff the reports.
 
     Same build and workload idiom as the ``cluster`` experiment (fixed
     row counts, homogeneous tenant streams); wall-clock covers the
@@ -384,7 +354,7 @@ def _run_cluster_compare(
 
     counts = cluster_row_counts(scale, shards)
 
-    def run_once(vectorized: bool, run_jobs: int) -> Tuple[Dict[str, object], float]:
+    def run_once(vectorized: bool) -> Tuple[Dict[str, object], float]:
         perf.set_vectorized(vectorized)
         cluster = PushTapCluster.build(
             shards=shards,
@@ -404,25 +374,21 @@ def _run_cluster_compare(
             warehouse_groups=shards,
         )
         t0 = time.perf_counter()
-        report = workload.run(intervals, jobs=run_jobs)
+        report = workload.run(intervals)
         wall = time.perf_counter() - t0
         return report.as_dict(), wall
 
     try:
-        naive_report, naive_s = run_once(False, 1)
-        seq_report, sequential_s = run_once(True, 1)
-        par_report, parallel_s = run_once(True, jobs)
+        naive_report, naive_s = run_once(False)
+        report, vectorized_s = run_once(True)
     finally:
         perf.set_vectorized(True)
     return ClusterRun(
         shards=shards,
-        jobs=jobs,
-        report=seq_report,
-        mode_drift=diff_sections(naive_report, seq_report),
-        jobs_drift=diff_sections(seq_report, par_report),
+        report=report,
+        mode_drift=diff_sections(naive_report, report),
         naive_s=naive_s,
-        sequential_s=sequential_s,
-        parallel_s=parallel_s,
+        vectorized_s=vectorized_s,
     )
 
 
@@ -438,8 +404,6 @@ def run_bench(
     queries: Sequence[str] = ("Q1", "Q6", "Q9"),
     min_speedup: float = 2.0,
     min_oltp_speedup: float = 0.0,
-    min_parallel_speedup: float = 0.0,
-    jobs: int = 4,
     cluster_shards: int = 4,
     micro: bool = True,
 ) -> BenchResult:
@@ -453,11 +417,10 @@ def run_bench(
 
     Beyond the profile workloads, ``workloads`` may name ``oltp`` (the
     transaction-only profile, gated by ``min_oltp_speedup``) and
-    ``cluster`` (the sharded workload run at ``jobs=1`` and ``jobs=N``,
-    whose reports must be identical and whose parallel wall-clock ratio
-    is gated by ``min_parallel_speedup``). Both speedup gates default to
-    0 — wall-clock on shared CI hosts (often single-core) is evidence,
-    not simulated truth; the identity gates always apply.
+    ``cluster`` (the sharded workload, whose naive and vectorized
+    reports must be identical). The OLTP speedup gate defaults to 0 —
+    wall-clock on shared CI hosts is evidence, not simulated truth; the
+    identity gates always apply.
     """
     if not workloads:
         raise ConfigError("bench needs at least one workload")
@@ -479,7 +442,6 @@ def run_bench(
         if workload == "cluster":
             cluster_run = _run_cluster_compare(
                 shards=cluster_shards,
-                jobs=jobs,
                 intervals=intervals,
                 txns_per_query=txns_per_query,
                 scale=scale,
@@ -533,7 +495,6 @@ def run_bench(
         baseline_drift=baseline_drift,
         min_speedup=min_speedup,
         min_oltp_speedup=min_oltp_speedup,
-        min_parallel_speedup=min_parallel_speedup,
         cluster=cluster_run,
     )
     result.snapshot = _snapshot(result, params, baseline_path, tag)
@@ -581,32 +542,24 @@ def _snapshot(
             if result.cluster is None
             else {
                 "shards": result.cluster.shards,
-                "jobs": result.cluster.jobs,
                 "report": result.cluster.report,
                 "mode_drift": result.cluster.mode_drift,
-                "jobs_drift": result.cluster.jobs_drift,
                 "wall_clock": {
-                    "naive_jobs1_s": round(result.cluster.naive_s, 6),
-                    "jobs1_s": round(result.cluster.sequential_s, 6),
-                    f"jobs{result.cluster.jobs}_s": round(
-                        result.cluster.parallel_s, 6
-                    ),
+                    "naive_s": round(result.cluster.naive_s, 6),
+                    "vectorized_s": round(result.cluster.vectorized_s, 6),
                 },
-                "parallel_speedup": round(result.cluster.parallel_speedup, 2),
             }
         ),
         "hot_paths": {p.name: p.as_dict() for p in result.hot_paths},
         "gates": {
             "min_speedup": result.min_speedup,
             "min_oltp_speedup": result.min_oltp_speedup,
-            "min_parallel_speedup": result.min_parallel_speedup,
             "scan_workloads": list(SCAN_WORKLOADS),
             "oltp_workloads": list(OLTP_WORKLOADS),
             "simulated_identical": result.simulated_identical,
             "baseline_drift_free": not result.baseline_drift,
             "speedup_ok": result.speedup_ok,
             "oltp_speedup_ok": result.oltp_speedup_ok,
-            "parallel_speedup_ok": result.parallel_speedup_ok,
             "passed": result.passed,
         },
     }
@@ -620,7 +573,6 @@ _HOST_KEYS = (
     "wall_clock_s",
     "peak_rss_bytes",
     "speedup",
-    "parallel_speedup",
     "hot_paths",
 )
 
@@ -646,7 +598,7 @@ def deterministic_snapshot(snapshot: Dict[str, object]) -> Dict[str, object]:
     out = strip(snapshot)
     gates = out.get("gates")
     if isinstance(gates, dict):
-        for key in ("speedup_ok", "oltp_speedup_ok", "parallel_speedup_ok", "passed"):
+        for key in ("speedup_ok", "oltp_speedup_ok", "passed"):
             gates.pop(key, None)
     return out
 

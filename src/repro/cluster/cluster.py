@@ -16,9 +16,11 @@ is free, and every simulated metric equals the bare engine's.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
+from repro.core.engine import PushTapEngine
 from repro.errors import ConfigError
 from repro.olap.queries import QueryResult
 from repro.oltp.engine import TxnContext, TxnResult
@@ -30,6 +32,19 @@ from repro.cluster.router import ShardRouter
 from repro.cluster.twopc import TwoPhaseCommit
 
 __all__ = ["ClusterTxnResult", "PushTapCluster"]
+
+#: PushTapEngine.build arguments a cluster forwards to every shard;
+#: ``counts`` and ``row_filter`` are set per shard by the partitioner.
+_SHARD_BUILD_ARGS = frozenset(
+    inspect.signature(PushTapEngine.build).parameters
+) - {"counts", "row_filter"}
+
+
+def _check_interconnect(interconnect_ns: float) -> None:
+    if interconnect_ns < 0:
+        raise ConfigError(
+            f"interconnect_ns must be non-negative (got {interconnect_ns})"
+        )
 
 
 @dataclass
@@ -56,21 +71,11 @@ class PushTapCluster:
         engines,
         counts: Dict[str, int],
         interconnect_ns: float = 500.0,
-        jobs: int = 1,
     ) -> None:
         if not engines:
             raise ConfigError("a cluster needs at least one shard engine")
-        if int(jobs) < 1:
-            raise ConfigError("jobs must be >= 1")
+        _check_interconnect(interconnect_ns)
         self.engines = list(engines)
-        #: Default worker count for workloads over this cluster; > 1
-        #: runs shard sub-streams on a process pool (see repro.parallel).
-        self.jobs = int(jobs)
-        #: PushTapEngine.build kwargs captured by :meth:`build` so
-        #: spawned parallel workers can rebuild their shard engine
-        #: bit-identically (None when the cluster was assembled from
-        #: pre-built engines).
-        self._shard_build_kwargs: Optional[Dict[str, object]] = None
         self.num_shards = len(self.engines)
         #: The *global* row counts the shards were filtered from — the
         #: workload layer builds its drivers over these, not over any
@@ -94,7 +99,6 @@ class PushTapCluster:
         scale: float = 1e-4,
         counts: Optional[Dict[str, int]] = None,
         interconnect_ns: float = 500.0,
-        jobs: int = 1,
         **build_kwargs,
     ) -> "PushTapCluster":
         """Build an N-shard cluster over one global generator stream.
@@ -106,6 +110,12 @@ class PushTapCluster:
         """
         if shards < 1:
             raise ConfigError("shards must be >= 1")
+        _check_interconnect(interconnect_ns)
+        unsupported = sorted(set(build_kwargs) - _SHARD_BUILD_ARGS)
+        if unsupported:
+            raise ConfigError(
+                f"PushTapCluster.build got unsupported argument(s) {unsupported}"
+            )
         counts = dict(counts) if counts is not None else cluster_row_counts(
             scale, shards
         )
@@ -113,9 +123,7 @@ class PushTapCluster:
             build_shard(shard, shards, counts, **build_kwargs)
             for shard in range(shards)
         ]
-        cluster = cls(engines, counts, interconnect_ns=interconnect_ns, jobs=jobs)
-        cluster._shard_build_kwargs = dict(build_kwargs)
-        return cluster
+        return cls(engines, counts, interconnect_ns=interconnect_ns)
 
     # ------------------------------------------------------------------
     # OLTP path

@@ -111,7 +111,6 @@ def run_cluster_fault_sweep(
     scale: float = 2e-5,
     remote_fraction: float = 4.0,
     defrag_period: int = 200,
-    jobs: int = 1,
 ) -> ClusterSweepResult:
     """Run the clean and faulted cluster workloads; returns the comparison.
 
@@ -119,11 +118,6 @@ def run_cluster_fault_sweep(
     and new orders actually occur at sweep scale — the 2PC hooks only
     fire on the cross-shard path, so a near-zero remote rate would let a
     sweep cell pass vacuously.
-
-    With ``jobs > 1`` both runs execute shard sub-streams on a process
-    pool; the sweep result is identical to ``jobs=1`` (the invariant
-    checks — including the end-of-run audit — run inside the workers,
-    where the shard data lives).
     """
     plan = FaultPlan(seed, rates)
     result = ClusterSweepResult(
@@ -134,24 +128,20 @@ def run_cluster_fault_sweep(
     )
 
     def _drive(cluster, checkers):
-        workload = ClusterWorkload(
+        return ClusterWorkload(
             cluster,
             txns_per_query=txns_per_query,
             seed=seed,
             remote_fraction=remote_fraction,
             invariant_checkers=checkers,
-            jobs=jobs,
-            worker_final_check=jobs > 1,
-        )
-        report = workload.run(intervals)
-        return report, workload
+        ).run(intervals)
 
     # Insert capacity sized to the stream (appends accumulate in
     # ORDERLINE/HISTORY across the whole run).
     extra_rows = 12 * intervals * txns_per_query
     # Baseline: same cluster, same workload seeds, no injector.
     baseline = _build_cluster(seed, shards, scale, defrag_period, extra_rows)
-    base, _ = _drive(baseline, [])
+    base = _drive(baseline, [])
     result.baseline_tpmc = base.oltp_tpmc
     result.baseline_qphh = base.olap_qphh
 
@@ -164,9 +154,8 @@ def run_cluster_fault_sweep(
         for engine in cluster.engines
     ]
     install(injector)
-    workload = None
     try:
-        report, workload = _drive(cluster, checkers)
+        report = _drive(cluster, checkers)
         result.faulted_tpmc = report.oltp_tpmc
         result.faulted_qphh = report.olap_qphh
         result.transactions = report.transactions
@@ -180,25 +169,13 @@ def run_cluster_fault_sweep(
     finally:
         deactivate()
     # End-of-run audits: per-shard storage/index consistency plus the
-    # cluster-wide atomicity scan over the 2PC outcome log. Under
-    # jobs > 1 the shard data lives in the workers, which already ran
-    # the planned checks plus the final audit (worker_final_check).
-    if jobs > 1 and workload is not None and workload.worker_invariants:
-        result.checks = sum(
-            w["checks"] for w in workload.worker_invariants
-        )
-        result.violations = [
-            violation
-            for w in workload.worker_invariants
-            for violation in w["violations"]
-        ]
-    else:
-        for checker in checkers:
-            checker.check()
-        result.checks = sum(c.checks for c in checkers)
-        result.violations = [v for c in checkers for v in c.violations]
+    # cluster-wide atomicity scan over the 2PC outcome log.
+    for checker in checkers:
+        checker.check()
     result.injected = dict(injector.injected)
     result.detected = dict(injector.detected)
+    result.checks = sum(c.checks for c in checkers)
+    result.violations = [v for c in checkers for v in c.violations]
     result.atomicity_violations = cluster.twopc.atomicity_violations()
     if result.violations or result.atomicity_violations:
         result.survived = False

@@ -34,78 +34,7 @@ from repro.faults import plan as fault_plan
 from repro.oltp.engine import TxnContext, TxnResult
 from repro.telemetry import registry as telemetry
 
-__all__ = [
-    "TwoPhaseOutcome",
-    "TwoPhaseCommit",
-    "TwoPCDecision",
-    "plan_twopc_decision",
-]
-
-
-@dataclass(frozen=True)
-class TwoPCDecision:
-    """A fault-plan consultation for one cross-shard transaction.
-
-    The parallel plan pass draws the same hook stream the sequential
-    coordinator would (and in the same order), without executing any
-    participant — single-shard TPC-C sub-transactions always vote yes,
-    which the workers assert.
-    """
-
-    order: tuple
-    #: Per-shard phase-1 status: ``"ok"``, ``"lost"``, or ``"timeout"``.
-    statuses: Dict[int, str]
-    decide_commit: bool
-    coordinator_silent: bool
-    abort_cause: Optional[str]
-    #: How many hooks fired (the merge pass replays their accounting).
-    fires: int
-
-
-def plan_twopc_decision(home: int, shards: Sequence[int]) -> TwoPCDecision:
-    """Draw the 2PC fault decisions for one transaction ahead of time."""
-    inj = faults.active()
-    enabled = inj.enabled
-    order = [home] + sorted(s for s in shards if s != home)
-    statuses: Dict[int, str] = {}
-    causes: List[str] = []
-    fires = 0
-    for shard in order:
-        remote = shard != home
-        if remote and enabled and inj.plan.draw(fault_plan.TWOPC_LOST_PREPARE):
-            statuses[shard] = "lost"
-            causes.append(fault_plan.TWOPC_LOST_PREPARE)
-            fires += 1
-            continue
-        # The prepare is assumed to vote yes (asserted by the worker).
-        if remote and enabled and inj.plan.draw(
-            fault_plan.TWOPC_PARTICIPANT_TIMEOUT
-        ):
-            statuses[shard] = "timeout"
-            causes.append(fault_plan.TWOPC_PARTICIPANT_TIMEOUT)
-            fires += 1
-            continue
-        statuses[shard] = "ok"
-    decide_commit = not causes
-    coordinator_silent = False
-    abort_cause: Optional[str] = None
-    if decide_commit and enabled and inj.plan.draw(
-        fault_plan.TWOPC_COORDINATOR_CRASH
-    ):
-        decide_commit = False
-        coordinator_silent = True
-        abort_cause = fault_plan.TWOPC_COORDINATOR_CRASH
-        fires += 1
-    elif not decide_commit:
-        abort_cause = causes[0]
-    return TwoPCDecision(
-        order=tuple(order),
-        statuses=statuses,
-        decide_commit=decide_commit,
-        coordinator_silent=coordinator_silent,
-        abort_cause=abort_cause,
-        fires=fires,
-    )
+__all__ = ["TwoPhaseOutcome", "TwoPhaseCommit"]
 
 
 @dataclass
@@ -168,27 +97,34 @@ class TwoPhaseCommit:
             raise TransactionError(f"home shard {home} has no sub-transaction")
         order = [home] + sorted(s for s in sub_txns if s != home)
         inj = faults.active()
+        tel = telemetry.active()
+        self.attempted += 1
 
         prepared: Dict[int, object] = {}
-        statuses: Dict[int, str] = {}
-        vote_no_results: Dict[int, TxnResult] = {}
+        votes: Dict[int, bool] = {}
         causes: List[str] = []
+        msg_time = 0.0
+        wait_time = 0.0
         for shard in order:
             remote = shard != home
-            if remote and inj.enabled and inj.fire(fault_plan.TWOPC_LOST_PREPARE):
-                # The request vanished in the interconnect: the
-                # participant never executes, the coordinator's
-                # timeout expires, and the vote is a presumed no.
-                inj.detect(fault_plan.TWOPC_LOST_PREPARE)
-                statuses[shard] = "lost"
-                causes.append(fault_plan.TWOPC_LOST_PREPARE)
-                continue
+            if remote:
+                msg_time += self.interconnect_ns  # prepare request
+                if inj.enabled and inj.fire(fault_plan.TWOPC_LOST_PREPARE):
+                    # The request vanished in the interconnect: the
+                    # participant never executes, the coordinator's
+                    # timeout expires, and the vote is a presumed no.
+                    inj.detect(fault_plan.TWOPC_LOST_PREPARE)
+                    votes[shard] = False
+                    causes.append(fault_plan.TWOPC_LOST_PREPARE)
+                    wait_time += self.timeout_ns
+                    continue
             handle = self.engines[shard].oltp.prepare(sub_txns[shard])
             prepared[shard] = handle
             if not handle.vote_yes:
-                statuses[shard] = "vote_no"
-                vote_no_results[shard] = handle.result
+                votes[shard] = False
                 causes.append("vote_no")
+                if remote:
+                    msg_time += self.interconnect_ns  # the no-vote reply
                 continue
             if remote and inj.enabled and inj.fire(
                 fault_plan.TWOPC_PARTICIPANT_TIMEOUT
@@ -197,12 +133,15 @@ class TwoPhaseCommit:
                 # never arrived; the coordinator times out and decides
                 # abort — the prepared participant is resolved below.
                 inj.detect(fault_plan.TWOPC_PARTICIPANT_TIMEOUT)
-                statuses[shard] = "timeout"
+                votes[shard] = False
                 causes.append(fault_plan.TWOPC_PARTICIPANT_TIMEOUT)
+                wait_time += self.timeout_ns
                 continue
-            statuses[shard] = "ok"
+            votes[shard] = True
+            if remote:
+                msg_time += self.interconnect_ns  # yes-vote reply
 
-        decide_commit = not causes
+        decide_commit = all(votes.values())
         abort_cause: Optional[str] = None
         coordinator_silent = False
         if decide_commit and inj.enabled and inj.fire(
@@ -219,81 +158,25 @@ class TwoPhaseCommit:
         elif not decide_commit:
             abort_cause = causes[0]
 
-        def resolve(shard: int, action: str) -> TxnResult:
-            handle = prepared[shard]
-            if action == "commit":
-                return self.engines[shard].oltp.commit_prepared(handle)
-            return self.engines[shard].oltp.abort_prepared(handle)
-
-        return self._settle(
-            home,
-            order,
-            statuses,
-            vote_no_results,
-            decide_commit,
-            coordinator_silent,
-            abort_cause,
-            resolve,
-        )
-
-    def _settle(
-        self,
-        home: int,
-        order: Sequence[int],
-        statuses: Dict[int, str],
-        vote_no_results: Dict[int, TxnResult],
-        decide_commit: bool,
-        coordinator_silent: bool,
-        abort_cause: Optional[str],
-        resolve: Callable[[int, str], TxnResult],
-    ) -> TwoPhaseOutcome:
-        """Resolve phase 2 and account the transaction.
-
-        Shared between the sequential coordinator (``resolve`` commits or
-        aborts the prepared handle on the live engine) and the parallel
-        merge (``resolve`` replays the worker's journaled resolution and
-        returns its result). The message/timeout arithmetic re-walks
-        phase 1 from ``statuses`` in the exact accumulation order the
-        inline version used, so latencies stay bit-identical.
-        """
-        tel = telemetry.active()
-        self.attempted += 1
-        msg_time = 0.0
-        wait_time = 0.0
-        for shard in order:
-            remote = shard != home
-            status = statuses[shard]
-            if remote:
-                msg_time += self.interconnect_ns  # prepare request
-            if status == "lost":
-                wait_time += self.timeout_ns
-            elif status == "vote_no":
-                if remote:
-                    msg_time += self.interconnect_ns  # the no-vote reply
-            elif status == "timeout":
-                wait_time += self.timeout_ns
-            elif remote:
-                msg_time += self.interconnect_ns  # yes-vote reply
-
         per_shard: Dict[int, TxnResult] = {}
         outcome_row: Dict[int, str] = {}
         for shard in order:
-            status = statuses[shard]
-            if status == "lost":
+            handle = prepared.get(shard)
+            if handle is None:
                 # Lost prepare: nothing executed, nothing to resolve.
                 outcome_row[shard] = "aborted"
                 continue
-            if status == "vote_no":
-                per_shard[shard] = vote_no_results[shard]
+            if not handle.vote_yes:
+                per_shard[shard] = handle.result
                 outcome_row[shard] = "aborted"
                 continue
             if decide_commit:
-                per_shard[shard] = resolve(shard, "commit")
+                per_shard[shard] = self.engines[shard].oltp.commit_prepared(handle)
                 outcome_row[shard] = "committed"
                 if shard != home:
                     msg_time += 2 * self.interconnect_ns  # decision + ack
             else:
-                per_shard[shard] = resolve(shard, "abort")
+                per_shard[shard] = self.engines[shard].oltp.abort_prepared(handle)
                 outcome_row[shard] = "aborted"
                 if coordinator_silent:
                     wait_time += self.timeout_ns  # resolved by timeout

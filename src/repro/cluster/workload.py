@@ -41,6 +41,16 @@ from repro.cluster.partition import shard_warehouses
 
 __all__ = ["ShardReport", "ClusterReport", "ClusterWorkload"]
 
+#: TPCCDriver counters the report sums over the tenants.
+_DRIVER_COUNTERS = (
+    "payments",
+    "remote_payments",
+    "new_orders",
+    "remote_new_orders",
+    "order_lines",
+    "remote_order_lines",
+)
+
 
 @dataclass
 class ShardReport:
@@ -235,26 +245,12 @@ class ClusterWorkload:
         invariant_checkers: Sequence = (),
         homogeneous_tenants: bool = False,
         warehouse_groups: Optional[int] = None,
-        jobs: Optional[int] = None,
-        worker_final_check: bool = False,
     ) -> None:
         if txns_per_query < 0:
             raise ConfigError("txns_per_query must be non-negative")
         if not queries:
             raise ConfigError("at least one analytical query is required")
         self.cluster = cluster
-        #: Worker count for :meth:`run` (defaults to the cluster's);
-        #: > 1 executes shard sub-streams on a process pool with a
-        #: deterministic merge (see :mod:`repro.parallel`).
-        self.jobs = int(cluster.jobs if jobs is None else jobs)
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
-        #: Under ``jobs > 1``, run one extra invariant check per shard
-        #: after the stream ends, inside the worker that owns the data
-        #: (the fault sweep's post-run audit).
-        self.worker_final_check = bool(worker_final_check)
-        #: Per-shard worker checker summaries of the last parallel run.
-        self.worker_invariants: List[Dict[str, object]] = []
         self.txns_per_query = txns_per_query
         self.queries = list(queries)
         self.tenants = cluster.num_shards if tenants is None else int(tenants)
@@ -328,6 +324,13 @@ class ClusterWorkload:
         self._query_cursor = 0
         self._txn_cursor = 0
 
+    def _driver_counts(self) -> Dict[str, int]:
+        """The tenants' cumulative traffic counters, summed."""
+        return {
+            name: sum(getattr(driver, name) for driver in self.drivers)
+            for name in _DRIVER_COUNTERS
+        }
+
     def _maybe_check(self, force: bool = False) -> None:
         """Run the invariant checkers at a safe point (see MixedWorkload)."""
         if not self.invariant_checkers:
@@ -337,19 +340,14 @@ class ClusterWorkload:
             for checker in self.invariant_checkers:
                 checker.check()
 
-    def run(self, num_queries: int, jobs: Optional[int] = None) -> ClusterReport:
+    def run(self, num_queries: int) -> ClusterReport:
         """Run ``num_queries`` query intervals; returns the report.
 
-        With ``jobs > 1`` (argument, constructor, or cluster default)
-        the shard sub-streams execute on a process pool and are merged
-        back in sequential order — the report, histograms, outcome
-        logs, and telemetry export are byte-identical to ``jobs=1``
-        (see :mod:`repro.parallel` for the preconditions enforced).
+        A workload can be run repeatedly: each call resumes the tenant
+        streams where the last one stopped and reports only its own
+        intervals.
         """
         cluster = self.cluster
-        jobs = self.jobs if jobs is None else int(jobs)
-        if jobs < 1:
-            raise ConfigError("jobs must be >= 1")
         report = ClusterReport(
             num_shards=cluster.num_shards,
             tenants=self.tenants,
@@ -380,46 +378,38 @@ class ClusterWorkload:
         twopc_before = (twopc.attempted, twopc.committed, twopc.aborted)
         causes_before = dict(twopc.aborts_by_cause)
         coordination_before = cluster.coordination_time
-        if jobs > 1:
-            # Parallel shard execution with a deterministic merge. The
-            # merge fills the report's interval-loop accounting and the
-            # coordinator-side cluster/2PC/telemetry state; the shared
-            # delta bookkeeping below then applies to both paths.
-            from repro.parallel import run_parallel_cluster_workload
-
-            run_parallel_cluster_workload(self, num_queries, jobs, report)
-        else:
-            for interval in range(num_queries):
-                t0 = tel.sim_time if tel.enabled else 0.0
-                for _ in range(self.txns_per_query):
-                    tenant = self._txn_cursor % self.tenants
-                    self._txn_cursor += 1
-                    driver = self.drivers[tenant]
-                    txn = driver.next_transaction()
-                    result = cluster.execute_transaction(txn)
-                    report.transactions += 1
-                    if not result.committed:
-                        report.aborted += 1
-                        driver.note_abort(txn)
-                    report.observe_txn(result.latency)
-                    home = report.per_shard[result.home]
-                    home.oltp_latency.observe(result.latency)
-                    if result.latency > self.slo_targets.oltp_ns:
-                        home.slo_violations += 1
-                    self._maybe_check()
-                name = self.queries[self._query_cursor % len(self.queries)]
-                self._query_cursor += 1
-                query = cluster.query(name)
-                report.queries += 1
-                report.observe_query(name, query.total_time)
-                self._maybe_check(force=True)
-                if tel.enabled:
-                    tel.record_span(
-                        "workload.interval",
-                        tel.sim_time - t0,
-                        {"interval": interval, "query": name},
-                        start=t0,
-                    )
+        counts_before = self._driver_counts()
+        for interval in range(num_queries):
+            t0 = tel.sim_time if tel.enabled else 0.0
+            for _ in range(self.txns_per_query):
+                tenant = self._txn_cursor % self.tenants
+                self._txn_cursor += 1
+                driver = self.drivers[tenant]
+                txn = driver.next_transaction()
+                result = cluster.execute_transaction(txn)
+                report.transactions += 1
+                if not result.committed:
+                    report.aborted += 1
+                    driver.note_abort(txn)
+                report.observe_txn(result.latency)
+                home = report.per_shard[result.home]
+                home.oltp_latency.observe(result.latency)
+                if result.latency > self.slo_targets.oltp_ns:
+                    home.slo_violations += 1
+                self._maybe_check()
+            name = self.queries[self._query_cursor % len(self.queries)]
+            self._query_cursor += 1
+            query = cluster.query(name)
+            report.queries += 1
+            report.observe_query(name, query.total_time)
+            self._maybe_check(force=True)
+            if tel.enabled:
+                tel.record_span(
+                    "workload.interval",
+                    tel.sim_time - t0,
+                    {"interval": interval, "query": name},
+                    start=t0,
+                )
         for shard, engine in enumerate(cluster.engines):
             txns0, runs0, oltp0, olap0, defrag0 = stats_before[shard]
             entry = report.per_shard[shard]
@@ -437,13 +427,8 @@ class ClusterWorkload:
             for cause, count in twopc.aborts_by_cause.items()
             if count - causes_before.get(cause, 0)
         }
-        for driver in self.drivers:
-            report.payments += driver.payments
-            report.remote_payments += driver.remote_payments
-            report.new_orders += driver.new_orders
-            report.remote_new_orders += driver.remote_new_orders
-            report.order_lines += driver.order_lines
-            report.remote_order_lines += driver.remote_order_lines
+        for name, count in self._driver_counts().items():
+            setattr(report, name, count - counts_before[name])
         if tel.enabled:
             tel.counter("workload.intervals").inc(num_queries)
             tel.gauge("workload.oltp_tpmc").set(report.oltp_tpmc)

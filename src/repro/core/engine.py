@@ -181,6 +181,7 @@ class PushTapEngine:
         same deterministic global stream but retains only its partition,
         with capacities and MVCC sized to the retained rows.
         """
+        cls._check_sizes(block_rows, extra_rows, defrag_period)
         config = config or dimm_system()
         query_set = list(queries) if queries is not None else all_queries()
         schemas = ch_schema()
@@ -273,6 +274,7 @@ class PushTapEngine:
         CH build — use :meth:`PushTapEngine.oltp` / :meth:`query` plumbing
         directly, or the generic OLAP operators.
         """
+        cls._check_sizes(block_rows, extra_rows, defrag_period)
         config = config or dimm_system()
         names = list(schemas)
         layouts = {
@@ -440,6 +442,18 @@ class PushTapEngine:
             assignment[name] = target
             loads[target] += layouts[name].bytes_per_row() * capacities[name]
         return assignment
+
+    @staticmethod
+    def _check_sizes(block_rows: int, extra_rows: int, defrag_period: int) -> None:
+        """Reject sizing arguments that would fail (or misbehave) later."""
+        if block_rows < 1:
+            raise ConfigError(f"block_rows must be >= 1 (got {block_rows})")
+        if extra_rows < 0:
+            raise ConfigError(f"extra_rows must be >= 0 (got {extra_rows})")
+        if defrag_period < 0:
+            raise ConfigError(
+                f"defrag_period must be >= 0, 0 disables it (got {defrag_period})"
+            )
 
     @staticmethod
     def _delta_rows(

@@ -73,16 +73,6 @@ class WALError(ReproError):
     """
 
 
-class ParallelExecutionError(ReproError):
-    """A parallel shard worker diverged from the coordinator's plan.
-
-    Raised when a worker observes an outcome the plan pass did not
-    predict (e.g. a single-shard transaction aborting, or a prepare
-    voting no) — the parallel run cannot be merged deterministically
-    and must not silently differ from ``jobs=1``.
-    """
-
-
 class SimulatedCrash(ReproError):
     """An injected process crash (fault-harness ``crash_*`` hooks).
 

@@ -369,8 +369,8 @@ def bench(argv) -> int:
         default=["mixed", "ch"],
         help=(
             "workloads to rerun in both modes ('oltp' is the gated "
-            "transaction-only profile; 'cluster' compares the sharded "
-            "workload at jobs=1 vs jobs=N)"
+            "transaction-only profile; 'cluster' is the sharded "
+            "cluster workload)"
         ),
     )
     parser.add_argument(
@@ -409,22 +409,6 @@ def bench(argv) -> int:
         ),
     )
     parser.add_argument(
-        "--min-parallel-speedup",
-        type=float,
-        default=0.0,
-        help=(
-            "required jobs=1/jobs=N wall-clock ratio on the 'cluster' "
-            "workload (0 disables the gate, e.g. on single-core CI "
-            "hosts; the byte-identity gate always runs)"
-        ),
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=4,
-        help="worker processes for the 'cluster' workload's parallel run",
-    )
-    parser.add_argument(
         "--cluster-shards",
         type=int,
         default=4,
@@ -451,8 +435,6 @@ def bench(argv) -> int:
         defrag_period=args.defrag_period,
         min_speedup=args.min_speedup,
         min_oltp_speedup=args.min_oltp_speedup,
-        min_parallel_speedup=args.min_parallel_speedup,
-        jobs=args.jobs,
         cluster_shards=args.cluster_shards,
         micro=not args.no_micro,
     )
@@ -476,25 +458,16 @@ def bench(argv) -> int:
 
     if result.cluster is not None:
         c = result.cluster
-        print(
-            f"\ncluster workload ({c.shards} shards, same simulated "
-            "workload three ways):"
-        )
+        print(f"\ncluster workload ({c.shards} shards, both modes):")
         print(format_table(
-            ["run", "wall-clock", "vs jobs=1 (vec)", "identical"],
+            ["run", "wall-clock", "identical"],
             [
-                ["naive jobs=1", f"{c.naive_s:.3f}s", "-",
-                 "yes" if not c.mode_drift else "NO"],
-                ["vectorized jobs=1", f"{c.sequential_s:.3f}s", "1.00x", "-"],
-                [f"vectorized jobs={c.jobs}", f"{c.parallel_s:.3f}s",
-                 f"{c.parallel_speedup:.2f}x",
-                 "yes" if not c.jobs_drift else "NO"],
+                ["naive", f"{c.naive_s:.3f}s", "yes" if not c.mode_drift else "NO"],
+                ["vectorized", f"{c.vectorized_s:.3f}s", "-"],
             ],
         ))
         for drift in c.mode_drift:
             print(f"MODE DRIFT [cluster]: {drift}", file=sys.stderr)
-        for drift in c.jobs_drift:
-            print(f"JOBS DRIFT [cluster]: {drift}", file=sys.stderr)
 
     if result.hot_paths:
         print("\nhot paths (host wall-clock, naive -> vectorized):")
@@ -564,12 +537,6 @@ def bench(argv) -> int:
     if not result.oltp_speedup_ok:
         print(
             f"FAIL: oltp-workload speedup below {result.min_oltp_speedup:.1f}x",
-            file=sys.stderr,
-        )
-    if not result.parallel_speedup_ok:
-        print(
-            "FAIL: cluster jobs speedup below "
-            f"{result.min_parallel_speedup:.1f}x",
             file=sys.stderr,
         )
     return 0 if result.passed else 1
@@ -1226,15 +1193,6 @@ def cluster_cli(argv) -> int:
         default=0.25,
         help="per-cross-shard-transaction hook fire probability for --faults",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help=(
-            "worker processes for shard sub-streams (merge is "
-            "deterministic: any value yields byte-identical snapshots)"
-        ),
-    )
     args = parser.parse_args(argv)
 
     if args.faults:
@@ -1252,7 +1210,6 @@ def cluster_cli(argv) -> int:
                     txns_per_query=args.txns_per_query,
                     scale=args.scale,
                     defrag_period=args.defrag_period,
-                    jobs=args.jobs,
                 )
                 rows.append([
                     hook,
@@ -1298,7 +1255,6 @@ def cluster_cli(argv) -> int:
         interconnect_ns=args.interconnect_ns,
         defrag_period=args.defrag_period,
         tag=args.tag,
-        jobs=args.jobs,
     )
     print(format_table(
         ["shards", "tpmC", "speedup", "QphH", "speedup", "cross-shard", "coord"],

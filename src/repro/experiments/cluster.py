@@ -43,7 +43,6 @@ def _run_cell(
     seed: int,
     interconnect_ns: float,
     defrag_period: int,
-    jobs: int = 1,
 ) -> Dict[str, object]:
     cluster = PushTapCluster.build(
         shards=shards,
@@ -68,9 +67,6 @@ def _run_cell(
         # partitioning overhead from client-mix variance.
         homogeneous_tenants=True,
         warehouse_groups=tenants,
-        # Parallel shard execution is merge-deterministic (byte-identical
-        # to jobs=1), so the snapshot stays reproducible at any job count.
-        jobs=min(jobs, shards),
     ).run(intervals)
     return report.as_dict()
 
@@ -85,7 +81,6 @@ def run_cluster_bench(
     interconnect_ns: float = 500.0,
     defrag_period: int = 200,
     tag: str = "9",
-    jobs: int = 1,
 ) -> Dict[str, object]:
     """Run the scaling and overhead sweeps; returns the snapshot dict.
 
@@ -117,7 +112,6 @@ def run_cluster_bench(
             seed,
             interconnect_ns,
             defrag_period,
-            jobs,
         )
         scaling.append(cell)
     base_tpmc = scaling[0]["oltp_tpmc"]
@@ -142,7 +136,6 @@ def run_cluster_bench(
             seed,
             interconnect_ns,
             defrag_period,
-            jobs,
         )
         cell["coordination_share"] = (
             cell["coordination_time_ns"] / cell["simulated_time_ns"]

@@ -66,20 +66,6 @@ class FaultInjector:
         """Deterministic fault magnitude from the plan's hook stream."""
         return self.plan.draw_int(hook, low, high)
 
-    def replay_fire(self, hook: str) -> None:
-        """Re-apply the side effects of a fire whose draw already happened.
-
-        The parallel plan pass consults :meth:`FaultPlan.draw` directly
-        (advancing the RNG and the schedule); the merge pass then calls
-        this at the same point of the sequential interleaving to apply
-        the injection accounting without drawing again.
-        """
-        self.injected[hook] = self.injected.get(hook, 0) + 1
-        self._pending_checks += 1
-        tel = telemetry.active()
-        if tel.enabled:
-            tel.counter(f"faults.injected.{hook}").inc()
-
     def detect(self, hook: str) -> None:
         """The engine noticed (and survived) an injected fault."""
         self.detected[hook] = self.detected.get(hook, 0) + 1
@@ -121,9 +107,6 @@ class NoopInjector:
     def draw_int(self, hook: str, low: int, high: int) -> int:
         """Smallest magnitude (never reached in practice)."""
         return low
-
-    def replay_fire(self, hook: str) -> None:
-        """Nothing to account."""
 
     def detect(self, hook: str) -> None:
         """Nothing to account."""

@@ -29,8 +29,6 @@ __all__ = [
     "OrderStatusParams",
     "StockLevelParams",
     "TPCCDriver",
-    "FACTORIES",
-    "rebuild_transaction",
     "payment",
     "new_order",
     "delivery",
@@ -375,26 +373,6 @@ def stock_level(params: StockLevelParams) -> Callable[[TxnContext], None]:
     txn.txn_name = "stock_level"
     txn.params = params
     return txn
-
-
-#: Transaction factories by name — the parallel execution layer ships
-#: ``(txn_name, params)`` pairs to shard workers (closures don't pickle)
-#: and rebuilds the closure there.
-FACTORIES: Dict[str, Callable] = {
-    "payment": payment,
-    "new_order": new_order,
-    "delivery": delivery,
-    "order_status": order_status,
-    "stock_level": stock_level,
-}
-
-
-def rebuild_transaction(txn_name: str, params) -> Callable[[TxnContext], None]:
-    """Rebuild a transaction closure from its name and frozen params."""
-    factory = FACTORIES.get(txn_name)
-    if factory is None:
-        raise TransactionError(f"unknown transaction {txn_name!r}")
-    return factory(params)
 
 
 class TPCCDriver:

@@ -310,3 +310,35 @@ class TestClusterWorkload:
         assert snapshot["shards"] == 2
         assert len(snapshot["per_shard"]) == 2
         assert snapshot["cross_shard"]["attempted"] > 0
+
+    def test_resumed_run_matches_one_run(self):
+        """Two run(1) calls equal one run(2): reports add up, and the
+        cluster's data reflects every transaction of both."""
+
+        def build():
+            cluster = PushTapCluster.build(shards=2, scale=SCALE, **ENGINE_KWARGS)
+            workload = ClusterWorkload(
+                cluster, txns_per_query=25, seed=11, remote_fraction=4.0
+            )
+            return cluster, workload
+
+        resumed, workload = build()
+        first, second = workload.run(1), workload.run(1)
+        single, workload = build()
+        whole = workload.run(2)
+
+        totals = (
+            "transactions", "committed", "aborted", "queries",
+            "cross_shard_attempted", "cross_shard_committed",
+            "cross_shard_aborted", "payments", "remote_payments",
+            "new_orders", "remote_new_orders", "order_lines",
+            "remote_order_lines",
+        )
+        for name in totals:
+            assert getattr(first, name) + getattr(second, name) == getattr(
+                whole, name
+            ), name
+        assert whole.cross_shard_attempted > 0
+        assert resumed.simulated_time == single.simulated_time
+        for name in ("Q1", "Q6", "Q9"):
+            assert resumed.query(name).rows == single.query(name).rows, name

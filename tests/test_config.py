@@ -13,8 +13,11 @@ from repro.core.config import (
     dimm_system,
     hbm_system,
 )
+from repro.cluster import PushTapCluster
+from repro.core.engine import PushTapEngine
 from repro.errors import ConfigError
 from repro.units import KIB
+from repro.workloads.htapbench import htapbench_key_columns, htapbench_schema
 
 
 class TestTable1Values:
@@ -134,6 +137,47 @@ class TestValidationAndUtilities:
     def test_rejects_bad_channels(self):
         with pytest.raises(ConfigError):
             SystemConfig(channels=0)
+
+
+def _build_custom(**kwargs):
+    schemas = htapbench_schema()
+    keys = {name: htapbench_key_columns(name) for name in schemas}
+    return PushTapEngine.build_custom(schemas, keys, {}, **kwargs)
+
+
+class TestBuildArgumentValidation:
+    """Invalid build arguments fail with ConfigError before any work."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: PushTapCluster.build(scale=2e-5, num_shards=4),
+            lambda: PushTapCluster.build(scale=2e-5, shards=2, shard=1),
+            lambda: PushTapCluster.build(scale=2e-5, row_filter=None),
+            lambda: PushTapCluster.build(scale=2e-5, interconnect_ns=-1),
+            lambda: PushTapEngine.build(scale=2e-5, block_rows=0),
+            lambda: PushTapEngine.build(scale=2e-5, extra_rows=-1),
+            lambda: PushTapEngine.build(scale=2e-5, defrag_period=-1),
+            lambda: _build_custom(block_rows=0),
+            lambda: _build_custom(extra_rows=-1),
+            lambda: _build_custom(defrag_period=-1),
+        ],
+        ids=[
+            "cluster-num_shards",
+            "cluster-shard",
+            "cluster-row_filter",
+            "cluster-negative-interconnect",
+            "engine-zero-block_rows",
+            "engine-negative-extra_rows",
+            "engine-negative-defrag_period",
+            "custom-zero-block_rows",
+            "custom-negative-extra_rows",
+            "custom-negative-defrag_period",
+        ],
+    )
+    def test_rejected_with_config_error(self, build):
+        with pytest.raises(ConfigError):
+            build()
 
 
 class TestAreaModel:

@@ -562,3 +562,57 @@ class TestWorkloadEquivalence:
             simulated_sections(naive.bench), simulated_sections(vectorized.bench)
         )
         assert drift == []
+
+    def test_cluster_compare_has_no_drift(self):
+        """The bench harness's cluster cell: the naive-vs-vectorized
+        report diff is empty on a small instance."""
+        from repro.bench.harness import _run_cluster_compare
+
+        run = _run_cluster_compare(
+            shards=2,
+            intervals=2,
+            txns_per_query=8,
+            scale=2e-5,
+            seed=11,
+            defrag_period=200,
+        )
+        assert run.mode_drift == []
+        assert run.report["transactions"] > 0
+
+    def test_deterministic_snapshot_strips_host_fields(self):
+        from repro.bench.harness import deterministic_snapshot
+
+        snapshot = {
+            "params": {"seed": 11},
+            "workloads": {
+                "oltp": {
+                    "simulated": {"transactions": 5},
+                    "wall_clock": {"run_s": 1.0},
+                    "speedup": 2.0,
+                }
+            },
+            "cluster": {
+                "report": {"oltp_tpmc": 1.0},
+                "mode_drift": [],
+                "wall_clock": {"vectorized_s": 1.0},
+            },
+            "hot_paths": {"mvcc.read": {"speedup": 1.0}},
+            "gates": {
+                "min_speedup": 0.0,
+                "simulated_identical": True,
+                "speedup_ok": False,
+                "passed": False,
+            },
+        }
+        out = deterministic_snapshot(snapshot)
+        assert "hot_paths" not in out
+        assert "wall_clock" not in out["workloads"]["oltp"]
+        assert "speedup" not in out["workloads"]["oltp"]
+        assert "wall_clock" not in out["cluster"]
+        assert "speedup_ok" not in out["gates"]
+        assert "passed" not in out["gates"]
+        # Simulated truth and identity gates survive.
+        assert out["workloads"]["oltp"]["simulated"] == {"transactions": 5}
+        assert out["cluster"]["report"] == {"oltp_tpmc": 1.0}
+        assert out["cluster"]["mode_drift"] == []
+        assert out["gates"]["simulated_identical"] is True
