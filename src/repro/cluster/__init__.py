@@ -15,8 +15,9 @@ warehouse-partitioned TPC-C system:
 - :mod:`repro.cluster.cluster` — the :class:`PushTapCluster` facade;
 - :mod:`repro.cluster.workload` — the tenant-pinned mixed workload and
   its :class:`ClusterReport`;
-- :mod:`repro.cluster.sweep` — the fault sweep asserting 2PC atomicity
-  under injected coordinator/participant faults.
+- :mod:`repro.cluster.sweep` — the cluster cell of the shared fault
+  sweep, asserting 2PC atomicity under injected coordinator/participant
+  faults.
 """
 
 from repro.cluster.cluster import ClusterTxnResult, PushTapCluster
@@ -33,7 +34,7 @@ from repro.cluster.partition import (
     shard_warehouses,
 )
 from repro.cluster.router import ShardRouter
-from repro.cluster.sweep import ClusterSweepResult, run_cluster_fault_sweep
+from repro.cluster.sweep import run_cluster_fault_sweep
 from repro.cluster.twopc import TwoPhaseCommit, TwoPhaseOutcome
 from repro.cluster.workload import ClusterReport, ClusterWorkload, ShardReport
 
@@ -41,7 +42,6 @@ __all__ = [
     "MERGEABLE_QUERIES",
     "ClusterQueryResult",
     "ClusterReport",
-    "ClusterSweepResult",
     "ClusterTxnResult",
     "ClusterWorkload",
     "PushTapCluster",

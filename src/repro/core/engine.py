@@ -19,7 +19,7 @@ Build one with :meth:`PushTapEngine.build`; see ``examples/quickstart.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.config import SystemConfig, dimm_system
 from repro.core.database import Database
@@ -196,7 +196,10 @@ class PushTapEngine:
             )
 
         if row_filter is None:
-            rows_by_table = None
+            # Generators: the bulk load streams rows without listing them.
+            rows_by_table = {
+                name: generate_table(name, counts, seed) for name in names
+            }
             effective_counts = counts
         else:
             rows_by_table = {
@@ -238,10 +241,7 @@ class PushTapEngine:
         )
         for index_name in INDEX_NAMES:
             engine.db.add_index(HashIndex(index_name))
-        if rows_by_table is None:
-            cls._load_data(engine.db, names, counts, seed)
-        else:
-            cls._load_rows(engine.db, rows_by_table)
+        cls._load_rows(engine.db, rows_by_table)
         return engine
 
     @classmethod
@@ -396,7 +396,7 @@ class PushTapEngine:
             db.add_table(runtime)
 
         all_units = [u for units in rank_units for u in units.values()]
-        controller = cls._build_controller_from_list(
+        controller = cls._build_controller(
             config, all_units, controller_kind
         )
         oltp = OLTPEngine(
@@ -488,21 +488,8 @@ class PushTapEngine:
         return round_up(padded, banks * 8 * block_rows)
 
     @staticmethod
-    def _load_data(
-        db: Database, names: Sequence[str], counts: Dict[str, int], seed: int
-    ) -> None:
-        for name in names:
-            runtime = db.table(name)
-            key_fn = _INDEX_KEY_FNS.get(name)
-            for row_id, values in enumerate(generate_table(name, counts, seed)):
-                runtime.storage.write_row(RowRef(Region.DATA, row_id), values)
-                if key_fn is not None:
-                    index_name, key = key_fn(values)
-                    db.index(index_name).insert(key, row_id)
-
-    @staticmethod
-    def _load_rows(db: Database, rows_by_table: Dict[str, List[Dict]]) -> None:
-        """Bulk-load pre-filtered rows (the shard-partition build path)."""
+    def _load_rows(db: Database, rows_by_table: Dict[str, Iterable[Dict]]) -> None:
+        """Bulk-load each table's initial rows and their index entries."""
         for name, rows in rows_by_table.items():
             runtime = db.table(name)
             key_fn = _INDEX_KEY_FNS.get(name)
@@ -528,15 +515,6 @@ class PushTapEngine:
 
     @staticmethod
     def _build_controller(
-        config: SystemConfig,
-        units: Dict[Tuple[int, int], PIMUnit],
-        kind: str,
-    ) -> _ControllerBase:
-        ordered = [units[k] for k in sorted(units)]
-        return PushTapEngine._build_controller_from_list(config, ordered, kind)
-
-    @staticmethod
-    def _build_controller_from_list(
         config: SystemConfig, units: List[PIMUnit], kind: str
     ) -> _ControllerBase:
         if kind == "pushtap":

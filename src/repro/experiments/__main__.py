@@ -48,10 +48,13 @@ with ``--faults``, the cross-shard atomicity fault sweep)::
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
-from typing import Callable, Dict
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from repro import telemetry
+from repro.errors import ConfigError
 from repro.experiments import ablations, fig8, fig9, fig10, fig11, fig12
 from repro.report import format_percent, format_table, format_time_ns
 from repro.telemetry import export as telemetry_export
@@ -213,6 +216,90 @@ EXPERIMENTS: Dict[str, Callable[..., None]] = {
     "ablations": run_ablations,
 }
 
+#: Flags several subcommands share, each declared once here. A subcommand
+#: takes the ones it needs, at its own defaults, through _shared_flags.
+_SHARED_FLAGS: Dict[str, Dict[str, object]] = {
+    "scale": dict(type=float, help="CH-benCH scale"),
+    "defrag_period": dict(type=int, help="transactions between defrags"),
+    "intervals": dict(type=int, help="query intervals per run (or query count)"),
+    "txns_per_query": dict(type=int, help="transactions per query interval"),
+    "tag": dict(help="snapshot tag (writes BENCH_<tag>.json)"),
+    "out_dir": dict(help="directory for BENCH_<tag>.json (and profile's trace files)"),
+}
+
+
+def _shared_flags(**defaults) -> argparse.ArgumentParser:
+    """A parent parser with the named shared flags at these defaults."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for dest in defaults:
+        parent.add_argument("--" + dest.replace("_", "-"), **_SHARED_FLAGS[dest])
+    parent.set_defaults(**defaults)
+    return parent
+
+
+def _writable(path) -> bool:
+    """Fail fast on an unwritable output path rather than after the runs."""
+    if path is None:
+        return True
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        return False
+    return True
+
+
+def _bench_path(out_dir: str, tag: str) -> str:
+    """``<out_dir>/BENCH_<tag>.json``, creating the directory."""
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, f"BENCH_{tag}.json")
+
+
+def _write_json(path: str, payload) -> None:
+    """Write ``payload`` as indented, key-sorted JSON (the committed format)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _run_cells(
+    keys: Iterable[Tuple],
+    run: Callable,
+    header: Sequence[str],
+    row: Callable[[object], List],
+    failure_lines: Callable[[object], Iterable[str]],
+) -> bool:
+    """Run one sweep cell per key; print the table; True if any failed.
+
+    A key is the cell's leading table columns, ``(seed,)`` or ``(hook,
+    seed)``, and ``run(*key)`` runs the cell. ``row(result)`` gives the
+    remaining columns. A cell that did not survive prints its
+    ``failure_lines(result)`` to stderr, each prefixed with its key.
+    """
+    rows = []
+    failed = False
+    for key in keys:
+        result = run(*key)
+        rows.append([*key, *row(result)])
+        if not result.survived:
+            failed = True
+            *hook, seed = key
+            label = " ".join([*hook, f"seed {seed}"])
+            for line in failure_lines(result):
+                print(f"{label}: {line}", file=sys.stderr)
+    print(format_table(header, rows))
+    return failed
+
+
+def _fault_failures(result) -> List[str]:
+    """Failure lines of a fault sweep cell (engine or cluster)."""
+    return (
+        ([result.error] if result.error else [])
+        + [f"INVARIANT: {v}" for v in result.violations]
+        + [f"ATOMICITY: {v}" for v in result.atomicity_violations]
+    )
+
 
 def report_metrics(argv) -> int:
     """``report-metrics``: pretty-print a telemetry JSON dump."""
@@ -243,9 +330,6 @@ def report_metrics(argv) -> int:
 
 def profile(argv) -> int:
     """``profile``: trace one workload and write the perf snapshot."""
-    import json
-    import os
-
     from repro.trace.chrome import to_chrome_json
     from repro.trace.flame import to_folded
     from repro.trace.profile import run_profile
@@ -258,6 +342,10 @@ def profile(argv) -> int:
             "bottleneck report, and a machine-readable BENCH_<tag>.json "
             "perf snapshot."
         ),
+        parents=[_shared_flags(
+            intervals=4, txns_per_query=25, scale=2e-5, defrag_period=200,
+            out_dir=".", tag="profile",
+        )],
     )
     parser.add_argument(
         "--workload",
@@ -271,23 +359,7 @@ def profile(argv) -> int:
         default="pushtap",
         help="memory controller variant under test",
     )
-    parser.add_argument(
-        "--intervals", type=int, default=4, help="query intervals (or query count)"
-    )
-    parser.add_argument(
-        "--txns-per-query", type=int, default=25, help="transactions per interval"
-    )
-    parser.add_argument("--scale", type=float, default=2e-5, help="CH-benCH scale")
-    parser.add_argument(
-        "--defrag-period", type=int, default=200, help="transactions between defrags"
-    )
     parser.add_argument("--seed", type=int, default=11, help="workload seed")
-    parser.add_argument(
-        "--out-dir", default=".", help="directory for trace.json / flame.folded"
-    )
-    parser.add_argument(
-        "--tag", default="profile", help="snapshot tag (writes BENCH_<tag>.json)"
-    )
     parser.add_argument(
         "--top", type=int, default=10, help="bottleneck rows to print"
     )
@@ -315,17 +387,14 @@ def profile(argv) -> int:
         per_unit_spans=not args.no_per_unit_spans,
         tag=args.tag,
     )
-    os.makedirs(args.out_dir, exist_ok=True)
+    bench_path = _bench_path(args.out_dir, args.tag)
     trace_path = os.path.join(args.out_dir, "trace.json")
     flame_path = os.path.join(args.out_dir, "flame.folded")
-    bench_path = os.path.join(args.out_dir, f"BENCH_{args.tag}.json")
     with open(trace_path, "w", encoding="utf-8") as fh:
         fh.write(to_chrome_json(result.tracer))
     with open(flame_path, "w", encoding="utf-8") as fh:
         fh.write(to_folded(result.tracer))
-    with open(bench_path, "w", encoding="utf-8") as fh:
-        json.dump(result.bench, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(bench_path, result.bench)
     print(result.report.render(top=args.top))
     sim = result.bench["simulated"]
     wall = result.bench["wall_clock"]
@@ -346,9 +415,6 @@ def profile(argv) -> int:
 
 def bench(argv) -> int:
     """``bench``: the perf-regression harness (naive vs. vectorized)."""
-    import json
-    import os
-
     from repro.bench import run_bench
     from repro.bench.harness import span_before_after
 
@@ -361,6 +427,10 @@ def bench(argv) -> int:
             "baseline snapshot, measure the wall-clock speedup, and write "
             "a BENCH_<tag>.json comparison snapshot."
         ),
+        parents=[_shared_flags(
+            tag="5", intervals=6, txns_per_query=30, scale=2e-5,
+            defrag_period=200, out_dir=".",
+        )],
     )
     parser.add_argument(
         "--workloads",
@@ -378,18 +448,7 @@ def bench(argv) -> int:
         default="BENCH_3.json",
         help="committed baseline snapshot to diff simulated metrics against",
     )
-    parser.add_argument("--tag", default="5", help="writes BENCH_<tag>.json")
-    parser.add_argument(
-        "--intervals", type=int, default=6, help="query intervals (or query count)"
-    )
-    parser.add_argument(
-        "--txns-per-query", type=int, default=30, help="transactions per interval"
-    )
-    parser.add_argument("--scale", type=float, default=2e-5, help="CH-benCH scale")
     parser.add_argument("--seed", type=int, default=11, help="workload seed")
-    parser.add_argument(
-        "--defrag-period", type=int, default=200, help="transactions between defrags"
-    )
     parser.add_argument(
         "--min-speedup",
         type=float,
@@ -418,9 +477,6 @@ def bench(argv) -> int:
         "--no-micro",
         action="store_true",
         help="skip the per-hot-path micro-benchmarks",
-    )
-    parser.add_argument(
-        "--out-dir", default=".", help="directory for the BENCH_<tag>.json snapshot"
     )
     args = parser.parse_args(argv)
 
@@ -518,11 +574,8 @@ def bench(argv) -> int:
             "workload set; the naive-vs-vectorized equivalence gate still ran)"
         )
 
-    os.makedirs(args.out_dir, exist_ok=True)
-    out_path = os.path.join(args.out_dir, f"BENCH_{args.tag}.json")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(result.snapshot, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    out_path = _bench_path(args.out_dir, args.tag)
+    _write_json(out_path, result.snapshot)
     print(f"\nbench snapshot written to {out_path}")
 
     if not result.simulated_identical:
@@ -544,9 +597,6 @@ def bench(argv) -> int:
 
 def roofline(argv) -> int:
     """``roofline``: substrate bandwidth ceilings vs achieved operators."""
-    import json
-    import os
-
     from repro.bench.micro import DEFAULT_SIZES
     from repro.bench.roofline import (
         DEFAULT_OPERATOR_SIZES,
@@ -565,6 +615,7 @@ def roofline(argv) -> int:
             "against the exported Chrome trace, and write a "
             "BENCH_<tag>.json roofline snapshot."
         ),
+        parents=[_shared_flags(tag="8", out_dir=".")],
     )
     parser.add_argument(
         "--substrates",
@@ -590,10 +641,6 @@ def roofline(argv) -> int:
     parser.add_argument(
         "--block-rows", type=int, default=256, help="storage block size (rows)"
     )
-    parser.add_argument("--tag", default="8", help="writes BENCH_<tag>.json")
-    parser.add_argument(
-        "--out-dir", default=".", help="directory for the BENCH_<tag>.json snapshot"
-    )
     args = parser.parse_args(argv)
     snapshot = run_roofline(
         args.substrates,
@@ -603,11 +650,8 @@ def roofline(argv) -> int:
         tag=args.tag,
     )
     print(render_roofline(snapshot))
-    os.makedirs(args.out_dir, exist_ok=True)
-    out_path = os.path.join(args.out_dir, f"BENCH_{args.tag}.json")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(snapshot, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    out_path = _bench_path(args.out_dir, args.tag)
+    _write_json(out_path, snapshot)
     print(f"\nroofline snapshot written to {out_path}")
     if not all(check["ok"] for check in snapshot["trace_check"].values()):
         print(
@@ -629,6 +673,9 @@ def fault_sweep(argv) -> int:
             "Drive the mixed HTAP workload under seeded fault injection and "
             "report survival, invariant violations, and throughput degradation."
         ),
+        parents=[_shared_flags(
+            intervals=6, txns_per_query=30, scale=2e-5, defrag_period=200,
+        )],
     )
     parser.add_argument(
         "--seed", type=int, nargs="+", default=[1], help="fault/workload seed(s)"
@@ -637,16 +684,6 @@ def fault_sweep(argv) -> int:
         "--rates",
         default="drop_launch=0.05,duplicate_launch=0.05,forced_abort=0.1",
         help="comma-separated hook=rate pairs (see repro.faults.plan.HOOKS)",
-    )
-    parser.add_argument(
-        "--intervals", type=int, default=6, help="query intervals per run"
-    )
-    parser.add_argument(
-        "--txns-per-query", type=int, default=30, help="transactions per interval"
-    )
-    parser.add_argument("--scale", type=float, default=2e-5, help="CH-benCH scale")
-    parser.add_argument(
-        "--defrag-period", type=int, default=200, help="transactions between defrags"
     )
     parser.add_argument(
         "--controller",
@@ -668,12 +705,13 @@ def fault_sweep(argv) -> int:
     )
     args = parser.parse_args(argv)
     rates = FaultRates.parse(args.rates)
+    if not _writable(args.metrics_out):
+        return 2
     registry = telemetry.enable() if args.metrics_out else None
-    failed = False
     try:
-        rows = []
-        for seed in args.seed:
-            result = run_fault_sweep(
+        failed = _run_cells(
+            [(seed,) for seed in args.seed],
+            lambda seed: run_fault_sweep(
                 seed,
                 rates,
                 intervals=args.intervals,
@@ -682,9 +720,12 @@ def fault_sweep(argv) -> int:
                 defrag_period=args.defrag_period,
                 controller_kind=args.controller,
                 workload=args.workload,
-            )
-            rows.append([
-                seed,
+            ),
+            [
+                "seed", "plan", "survived", "injected", "detected", "retries",
+                "checks", "violations", "tpmC loss", "QphH loss",
+            ],
+            lambda result: [
                 result.plan_hash[:12],
                 "yes" if result.survived else "NO",
                 sum(result.injected.values()),
@@ -694,20 +735,9 @@ def fault_sweep(argv) -> int:
                 len(result.violations),
                 format_percent(result.tpmc_degradation),
                 format_percent(result.qphh_degradation),
-            ])
-            if not result.survived:
-                failed = True
-                if result.error:
-                    print(f"seed {seed}: {result.error}", file=sys.stderr)
-                for violation in result.violations:
-                    print(f"seed {seed}: INVARIANT: {violation}", file=sys.stderr)
-        print(format_table(
-            [
-                "seed", "plan", "survived", "injected", "detected", "retries",
-                "checks", "violations", "tpmC loss", "QphH loss",
             ],
-            rows,
-        ))
+            _fault_failures,
+        )
         if registry is not None:
             with open(args.metrics_out, "w", encoding="utf-8") as fh:
                 fh.write(telemetry_export.to_json(registry))
@@ -720,8 +750,6 @@ def fault_sweep(argv) -> int:
 
 def crash_sweep(argv) -> int:
     """``crash-sweep``: inject crashes, recover, verify nothing was lost."""
-    import json
-
     from repro.wal.crash import CRASH_SWEEP_HOOKS, run_crash_sweep
 
     parser = argparse.ArgumentParser(
@@ -731,8 +759,10 @@ def crash_sweep(argv) -> int:
             "(before/after the WAL append, mid-checkpoint), recover from "
             "disk, and assert the InvariantChecker passes and OLAP results "
             "are bit-identical to a never-crashed reference at the "
-            "recovered commit horizon."
+            "recovered commit horizon. --txns-per-query 0 disables the "
+            "interleaved OLAP queries."
         ),
+        parents=[_shared_flags(txns_per_query=20, scale=2e-5, defrag_period=100)],
     )
     parser.add_argument(
         "--hooks",
@@ -749,17 +779,8 @@ def crash_sweep(argv) -> int:
         "--txns", type=int, default=160, help="transactions per crashed run"
     )
     parser.add_argument(
-        "--txns-per-query", type=int, default=20,
-        help="transactions between interleaved OLAP queries (0 disables)",
-    )
-    parser.add_argument(
         "--checkpoint-every", type=int, default=24,
         help="commits between checkpoint spills (0 disables checkpoints)",
-    )
-    parser.add_argument("--scale", type=float, default=2e-5, help="CH-benCH scale")
-    parser.add_argument(
-        "--defrag-period", type=int, default=100,
-        help="transactions between defrags",
     )
     parser.add_argument(
         "--rate", type=float, default=None,
@@ -770,54 +791,47 @@ def crash_sweep(argv) -> int:
         help="write the sweep report to PATH as JSON",
     )
     args = parser.parse_args(argv)
-    rows = []
+    if not _writable(args.out):
+        return 2
     cells = []
-    failed = False
-    for hook in args.hooks:
-        for seed in args.seed:
-            result = run_crash_sweep(
-                hook,
-                seed,
-                txns=args.txns,
-                txns_per_query=args.txns_per_query,
-                checkpoint_every=args.checkpoint_every,
-                scale=args.scale,
-                defrag_period=args.defrag_period,
-                rate=args.rate,
-            )
-            cells.append(result.as_dict())
-            rows.append([
-                hook,
-                seed,
-                "yes" if result.crash_fired else "no",
-                result.crashed_at_txn if result.crash_fired else "-",
-                result.horizon,
-                result.checkpoint_horizon,
-                result.segments_applied,
-                result.wal_records_replayed,
-                "yes" if result.torn_tail else "no",
-                "yes" if result.survived else "NO",
-            ])
-            if not result.survived:
-                failed = True
-                if result.error:
-                    print(f"{hook} seed {seed}: {result.error}", file=sys.stderr)
-                for violation in result.violations:
-                    print(
-                        f"{hook} seed {seed}: INVARIANT: {violation}",
-                        file=sys.stderr,
-                    )
-                for mismatch in result.query_mismatches:
-                    print(
-                        f"{hook} seed {seed}: QUERY: {mismatch}", file=sys.stderr
-                    )
-    print(format_table(
+
+    def run(hook, seed):
+        result = run_crash_sweep(
+            hook,
+            seed,
+            txns=args.txns,
+            txns_per_query=args.txns_per_query,
+            checkpoint_every=args.checkpoint_every,
+            scale=args.scale,
+            defrag_period=args.defrag_period,
+            rate=args.rate,
+        )
+        cells.append(result.as_dict())
+        return result
+
+    failed = _run_cells(
+        [(hook, seed) for hook in args.hooks for seed in args.seed],
+        run,
         [
             "hook", "seed", "crashed", "at txn", "horizon", "ckpt",
             "segments", "replayed", "torn", "survived",
         ],
-        rows,
-    ))
+        lambda result: [
+            "yes" if result.crash_fired else "no",
+            result.crashed_at_txn if result.crash_fired else "-",
+            result.horizon,
+            result.checkpoint_horizon,
+            result.segments_applied,
+            result.wal_records_replayed,
+            "yes" if result.torn_tail else "no",
+            "yes" if result.survived else "NO",
+        ],
+        lambda result: (
+            ([result.error] if result.error else [])
+            + [f"INVARIANT: {v}" for v in result.violations]
+            + [f"QUERY: {m}" for m in result.query_mismatches]
+        ),
+    )
     survived = sum(1 for cell in cells if cell["survived"])
     print(f"\n{survived}/{len(cells)} cells survived recovery")
     if args.out:
@@ -836,17 +850,13 @@ def crash_sweep(argv) -> int:
             "survived": survived,
             "total": len(cells),
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.out, report)
         print(f"report written to {args.out}")
     return 1 if failed else 0
 
 
 def serve(argv) -> int:
     """``serve``: the multi-tenant serving loop (or the policy ablation)."""
-    import json
-
     from repro.serve.loop import ServeConfig
     from repro.serve.runner import run_ivm_ablation, run_policy_ablation, run_serve
     from repro.serve.scheduler import POLICIES
@@ -860,6 +870,7 @@ def serve(argv) -> int:
             "write) the per-tenant SLO report. --ablation sweeps arrival "
             "rate x scheduler policy instead."
         ),
+        parents=[_shared_flags(scale=2e-5)],
     )
     parser.add_argument("--tenants", type=int, default=4, help="client sessions")
     parser.add_argument(
@@ -926,7 +937,6 @@ def serve(argv) -> int:
         default=50_000_000.0,
         help="per-query end-to-end latency target (ns)",
     )
-    parser.add_argument("--scale", type=float, default=2e-5, help="CH-benCH scale")
     parser.add_argument(
         "--controller",
         choices=["pushtap", "original"],
@@ -956,6 +966,8 @@ def serve(argv) -> int:
         help="write the machine-readable JSON report to PATH",
     )
     args = parser.parse_args(argv)
+    if not _writable(args.out):
+        return 2
 
     if args.ablation:
         report = run_policy_ablation(
@@ -1097,18 +1109,13 @@ def serve(argv) -> int:
             print(f"SLO ACCOUNTING ERROR: {err}", file=sys.stderr)
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.out, report)
         print(f"\nreport written to {args.out}")
     return 1 if failed else 0
 
 
 def cluster_cli(argv) -> int:
     """``cluster``: shard-count scaling, 2PC overhead, and fault sweeps."""
-    import json
-    import os
-
     from repro.experiments.cluster import (
         DEFAULT_REMOTE_FRACTIONS,
         DEFAULT_SHARD_COUNTS,
@@ -1125,6 +1132,10 @@ def cluster_cli(argv) -> int:
             "tpmC scaling; --faults sweeps the three 2PC fault hooks and "
             "asserts cross-shard atomicity."
         ),
+        parents=[_shared_flags(
+            intervals=4, txns_per_query=60, scale=2e-5, defrag_period=200,
+            tag="9", out_dir=".",
+        )],
     )
     parser.add_argument(
         "--shards",
@@ -1140,26 +1151,12 @@ def cluster_cli(argv) -> int:
         default=list(DEFAULT_REMOTE_FRACTIONS),
         help="remote-rate multipliers for the overhead curve (1.0 = spec)",
     )
-    parser.add_argument(
-        "--intervals", type=int, default=4, help="query intervals per cell"
-    )
-    parser.add_argument(
-        "--txns-per-query", type=int, default=60, help="transactions per interval"
-    )
-    parser.add_argument("--scale", type=float, default=2e-5, help="CH-benCH scale")
     parser.add_argument("--seed", type=int, default=11, help="workload seed")
     parser.add_argument(
         "--interconnect-ns",
         type=float,
         default=500.0,
         help="per-message cluster interconnect latency (simulated ns)",
-    )
-    parser.add_argument(
-        "--defrag-period", type=int, default=200, help="transactions between defrags"
-    )
-    parser.add_argument("--tag", default="9", help="writes BENCH_<tag>.json")
-    parser.add_argument(
-        "--out-dir", default=".", help="directory for the BENCH_<tag>.json snapshot"
     )
     parser.add_argument(
         "--check",
@@ -1198,51 +1195,32 @@ def cluster_cli(argv) -> int:
     if args.faults:
         from repro.cluster import run_cluster_fault_sweep
 
-        rows = []
-        failed = False
-        for hook in TWOPC_HOOKS:
-            for seed in args.fault_seeds:
-                result = run_cluster_fault_sweep(
-                    seed,
-                    FaultRates.parse(f"{hook}={args.fault_rate}"),
-                    shards=max(args.shards),
-                    intervals=args.intervals,
-                    txns_per_query=args.txns_per_query,
-                    scale=args.scale,
-                    defrag_period=args.defrag_period,
-                )
-                rows.append([
-                    hook,
-                    seed,
-                    "yes" if result.survived else "NO",
-                    sum(result.injected.values()),
-                    result.cross_shard_attempted,
-                    result.cross_shard_aborted,
-                    len(result.violations),
-                    len(result.atomicity_violations),
-                    format_percent(result.tpmc_degradation),
-                ])
-                if not result.survived:
-                    failed = True
-                    if result.error:
-                        print(f"{hook} seed {seed}: {result.error}", file=sys.stderr)
-                    for violation in result.violations:
-                        print(
-                            f"{hook} seed {seed}: INVARIANT: {violation}",
-                            file=sys.stderr,
-                        )
-                    for violation in result.atomicity_violations:
-                        print(
-                            f"{hook} seed {seed}: ATOMICITY: {violation}",
-                            file=sys.stderr,
-                        )
-        print(format_table(
+        failed = _run_cells(
+            [(hook, seed) for hook in TWOPC_HOOKS for seed in args.fault_seeds],
+            lambda hook, seed: run_cluster_fault_sweep(
+                seed,
+                FaultRates.parse(f"{hook}={args.fault_rate}"),
+                shards=max(args.shards),
+                intervals=args.intervals,
+                txns_per_query=args.txns_per_query,
+                scale=args.scale,
+                defrag_period=args.defrag_period,
+            ),
             [
                 "hook", "seed", "survived", "injected", "cross-shard",
                 "aborted", "invariant", "atomicity", "tpmC loss",
             ],
-            rows,
-        ))
+            lambda result: [
+                "yes" if result.survived else "NO",
+                sum(result.injected.values()),
+                result.cross_shard_attempted,
+                result.cross_shard_aborted,
+                len(result.violations),
+                len(result.atomicity_violations),
+                format_percent(result.tpmc_degradation),
+            ],
+            _fault_failures,
+        )
         return 1 if failed else 0
 
     snapshot = run_cluster_bench(
@@ -1292,11 +1270,8 @@ def cluster_cli(argv) -> int:
             for cell in snapshot["overhead"]
         ],
     ))
-    os.makedirs(args.out_dir, exist_ok=True)
-    out_path = os.path.join(args.out_dir, f"BENCH_{args.tag}.json")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(snapshot, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    out_path = _bench_path(args.out_dir, args.tag)
+    _write_json(out_path, snapshot)
     print(f"\ncluster snapshot written to {out_path}")
 
     if args.check:
@@ -1320,26 +1295,8 @@ def cluster_cli(argv) -> int:
     return 0
 
 
-def main(argv=None) -> int:
-    """Entry point: run the named experiments (or ``all``)."""
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] == "report-metrics":
-        return report_metrics(argv[1:])
-    if argv and argv[0] == "fault-sweep":
-        return fault_sweep(argv[1:])
-    if argv and argv[0] == "profile":
-        return profile(argv[1:])
-    if argv and argv[0] == "bench":
-        return bench(argv[1:])
-    if argv and argv[0] == "serve":
-        return serve(argv[1:])
-    if argv and argv[0] == "crash-sweep":
-        return crash_sweep(argv[1:])
-    if argv and argv[0] == "roofline":
-        return roofline(argv[1:])
-    if argv and argv[0] == "cluster":
-        return cluster_cli(argv[1:])
-
+def figures(argv) -> int:
+    """Regenerate the named figures (or ``all``)."""
     from repro.pim.substrate import available_substrates, get_substrate
 
     parser = argparse.ArgumentParser(
@@ -1370,17 +1327,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     config = get_substrate(args.substrate).config if args.substrate else None
     names = sorted(EXPERIMENTS) if "all" in args.experiments else args.experiments
-    if args.metrics_out:
-        # Fail fast on an unwritable path rather than after the runs.
-        try:
-            with open(args.metrics_out, "a", encoding="utf-8"):
-                pass
-        except OSError as exc:
-            print(
-                f"error: cannot write {args.metrics_out}: {exc.strerror}",
-                file=sys.stderr,
-            )
-            return 2
+    if not _writable(args.metrics_out):
+        return 2
     registry = telemetry.enable() if args.metrics_out else None
     try:
         for name in names:
@@ -1394,6 +1342,30 @@ def main(argv=None) -> int:
         if registry is not None:
             telemetry.disable()
     return 0
+
+
+COMMANDS: Dict[str, Callable[[List[str]], int]] = {
+    "report-metrics": report_metrics,
+    "fault-sweep": fault_sweep,
+    "profile": profile,
+    "bench": bench,
+    "serve": serve,
+    "crash-sweep": crash_sweep,
+    "roofline": roofline,
+    "cluster": cluster_cli,
+}
+
+
+def main(argv=None) -> int:
+    """Entry point: run a subcommand, or the named figures (or ``all``)."""
+    argv = list(sys.argv[1:]) if argv is None else list(argv)
+    try:
+        if argv and argv[0] in COMMANDS:
+            return COMMANDS[argv[0]](argv[1:])
+        return figures(argv)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

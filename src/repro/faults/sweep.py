@@ -1,11 +1,17 @@
-"""The ``fault-sweep`` harness: workload under injected faults.
+"""The fault-sweep harness: a workload under injected faults.
 
-Runs the mixed HTAP workload twice — once clean (the baseline) and once
-with a seeded :class:`~repro.faults.injector.FaultInjector` installed —
-and reports whether the engine *survived* (no unhandled error, zero
-invariant violations) together with the throughput degradation the
-injected faults caused. Both runs build identical engines from the same
-seed, so with the same arguments the sweep is bit-for-bit reproducible.
+:func:`run_sweep` runs one sweep cell. It drives a freshly built target
+twice: once clean (the baseline) and once with a seeded
+:class:`~repro.faults.injector.FaultInjector` installed. It reports
+whether the target *survived* (no unhandled error, zero invariant
+violations, an empty audit) together with the throughput degradation the
+injected faults caused. Both runs build identical targets from the same
+seed, so with the same arguments a sweep is bit-for-bit reproducible.
+
+Two sweeps use it: :func:`run_fault_sweep` drives one engine (the mixed
+workload or the serving loop), and
+:func:`repro.cluster.sweep.run_cluster_fault_sweep` drives a sharded
+cluster and audits 2PC atomicity.
 
 This module sits at the top of the fault stack (it imports the engine
 and workload driver) and is intentionally **not** re-exported from
@@ -15,8 +21,8 @@ an import cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.engine import PushTapEngine
 from repro.errors import ConfigError, ReproError
@@ -25,17 +31,18 @@ from repro.faults.invariants import InvariantChecker
 from repro.faults.plan import FaultPlan, FaultRates
 from repro.workloads.driver import MixedWorkload
 
-__all__ = ["SweepResult", "run_fault_sweep"]
+__all__ = ["SweepResult", "check_cell_size", "run_fault_sweep", "run_sweep"]
 
 
 @dataclass
 class SweepResult:
-    """Outcome of one fault sweep (baseline + faulted run)."""
+    """Outcome of one fault sweep cell (baseline + faulted run)."""
 
     seed: int
     rates: Dict[str, float]
-    #: Which workload shape drove the engines ("mixed" or "serve").
+    #: Which workload shape drove the target ("mixed", "serve" or "cluster").
     workload: str = "mixed"
+    shards: int = 1
     #: SHA-256 of the fault plan's determinism surface (seed + rates) —
     #: two reports with equal hashes replayed the same fault schedule.
     plan_hash: str = ""
@@ -47,11 +54,16 @@ class SweepResult:
     faulted_qphh: float = 0.0
     transactions: int = 0
     aborted: int = 0
+    cross_shard_attempted: int = 0
+    cross_shard_aborted: int = 0
+    aborts_by_cause: Dict[str, int] = field(default_factory=dict)
     injected: Dict[str, int] = field(default_factory=dict)
     detected: Dict[str, int] = field(default_factory=dict)
     retries: int = 0
     checks: int = 0
     violations: List[str] = field(default_factory=list)
+    #: What the sweep's end-of-run audit found (cluster: 2PC atomicity).
+    atomicity_violations: List[str] = field(default_factory=list)
 
     @property
     def tpmc_degradation(self) -> float:
@@ -70,68 +82,83 @@ class SweepResult:
     def as_dict(self) -> Dict[str, object]:
         """JSON-serializable summary."""
         return {
-            "seed": self.seed,
-            "rates": self.rates,
-            "workload": self.workload,
-            "plan_hash": self.plan_hash,
-            "survived": self.survived,
-            "error": self.error,
-            "baseline_tpmc": self.baseline_tpmc,
-            "baseline_qphh": self.baseline_qphh,
-            "faulted_tpmc": self.faulted_tpmc,
-            "faulted_qphh": self.faulted_qphh,
+            **asdict(self),
             "tpmc_degradation": self.tpmc_degradation,
             "qphh_degradation": self.qphh_degradation,
-            "transactions": self.transactions,
-            "aborted": self.aborted,
-            "injected": self.injected,
-            "detected": self.detected,
-            "retries": self.retries,
-            "invariant_checks": self.checks,
-            "invariant_violations": self.violations,
         }
 
 
-def _build_engine(
-    seed: int, scale: float, defrag_period: int, controller_kind: str
-) -> PushTapEngine:
-    return PushTapEngine.build(
-        scale=scale,
-        seed=seed,
-        controller_kind=controller_kind,
-        defrag_period=defrag_period,
-        block_rows=256,
-    )
+def check_cell_size(intervals: int, txns_per_query: int) -> None:
+    """Reject a sweep cell that would drive no work and pass vacuously."""
+    if intervals < 1:
+        raise ConfigError(f"intervals must be >= 1 (got {intervals})")
+    if txns_per_query < 1:
+        raise ConfigError(f"txns_per_query must be >= 1 (got {txns_per_query})")
 
 
-def _run_mixed(
-    seed: int,
-    intervals: int,
-    txns_per_query: int,
-    delivery_fraction: float,
-    invariant_checker: Optional[InvariantChecker],
-    engine: PushTapEngine,
-) -> Dict[str, object]:
-    report = MixedWorkload(
-        engine,
-        txns_per_query=txns_per_query,
-        seed=seed,
-        delivery_fraction=delivery_fraction,
-        invariant_checker=invariant_checker,
-    ).run(intervals)
-    return {
-        "tpmc": report.oltp_tpmc,
-        "qphh": report.olap_qphh,
-        "transactions": report.transactions,
-        "aborted": report.aborted,
-    }
+def run_sweep(
+    result: SweepResult,
+    plan: FaultPlan,
+    build: Callable[[], object],
+    drive: Callable[[object, List[InvariantChecker]], Dict[str, object]],
+    engines_of: Callable[[object], Sequence[PushTapEngine]],
+    audit: Callable[[object], List[str]],
+) -> SweepResult:
+    """Run the baseline and faulted runs of one cell; fills in ``result``.
+
+    ``build()`` makes a fresh target; ``drive(target, checkers)`` runs
+    the workload on it and returns ``tpmc``, ``qphh`` and any other
+    :class:`SweepResult` fields it measured (``checkers`` is empty on
+    the baseline). The faulted run gets one non-raising
+    :class:`InvariantChecker` per engine in ``engines_of(target)``; after
+    it, every checker runs a final check and ``audit(target)`` returns
+    the violations of the sweep's own end-of-run audit.
+    """
+    # Baseline: same target, same workload seeds, no injector.
+    base = drive(build(), [])
+    result.baseline_tpmc = base["tpmc"]
+    result.baseline_qphh = base["qphh"]
+
+    # Faulted run: injector installed for exactly this scope.
+    target = build()
+    injector = FaultInjector(plan)
+    checkers = [
+        InvariantChecker(engine, raise_on_violation=False)
+        for engine in engines_of(target)
+    ]
+    install(injector)
+    try:
+        faulted = drive(target, checkers)
+        result.faulted_tpmc = faulted.pop("tpmc")
+        result.faulted_qphh = faulted.pop("qphh")
+        for name, value in faulted.items():
+            setattr(result, name, value)
+    except ReproError as exc:
+        # The target did not absorb the faults (e.g. retry budget
+        # exhausted): report the failure instead of crashing the sweep.
+        result.survived = False
+        result.error = f"{type(exc).__name__}: {exc}"
+    finally:
+        deactivate()
+    # End-of-run audits: per-engine consistency plus the sweep's own.
+    for checker in checkers:
+        checker.check()
+    result.injected = dict(injector.injected)
+    result.detected = dict(injector.detected)
+    result.retries = injector.retries
+    result.checks = sum(c.checks for c in checkers)
+    result.violations = [v for c in checkers for v in c.violations]
+    result.atomicity_violations = list(audit(target))
+    if result.violations or result.atomicity_violations:
+        result.survived = False
+    return result
 
 
 def _run_serve(
+    engine: PushTapEngine,
+    invariant_checker: Optional[InvariantChecker],
     seed: int,
     txns_per_query: int,
-    invariant_checker: Optional[InvariantChecker],
-    engine: PushTapEngine,
 ) -> Dict[str, object]:
     # Imported here: repro.serve sits above this module in the layering
     # (it imports the fault plan/injector), so a top-level import would
@@ -193,57 +220,46 @@ def run_fault_sweep(
     """
     if workload not in ("mixed", "serve"):
         raise ConfigError(f"unknown sweep workload {workload!r}")
+    check_cell_size(intervals, txns_per_query)
     plan = FaultPlan(seed, rates)
-    result = SweepResult(
-        seed=seed,
-        rates=dict(rates.rates),
-        workload=workload,
-        plan_hash=plan.content_hash(),
-    )
 
-    def _drive(invariant_checker, engine):
-        if workload == "serve":
-            return _run_serve(seed, txns_per_query, invariant_checker, engine)
-        return _run_mixed(
-            seed,
-            intervals,
-            txns_per_query,
-            delivery_fraction,
-            invariant_checker,
-            engine,
+    def build() -> PushTapEngine:
+        return PushTapEngine.build(
+            scale=scale,
+            seed=seed,
+            controller_kind=controller_kind,
+            defrag_period=defrag_period,
+            block_rows=256,
         )
 
-    # Baseline: same engine, same workload seeds, no injector.
-    baseline = _build_engine(seed, scale, defrag_period, controller_kind)
-    base = _drive(None, baseline)
-    result.baseline_tpmc = base["tpmc"]
-    result.baseline_qphh = base["qphh"]
+    def drive(engine, checkers):
+        checker = checkers[0] if checkers else None
+        if workload == "serve":
+            return _run_serve(engine, checker, seed, txns_per_query)
+        report = MixedWorkload(
+            engine,
+            txns_per_query=txns_per_query,
+            seed=seed,
+            delivery_fraction=delivery_fraction,
+            invariant_checker=checker,
+        ).run(intervals)
+        return {
+            "tpmc": report.oltp_tpmc,
+            "qphh": report.olap_qphh,
+            "transactions": report.transactions,
+            "aborted": report.aborted,
+        }
 
-    # Faulted run: injector installed for exactly this scope.
-    engine = _build_engine(seed, scale, defrag_period, controller_kind)
-    injector = FaultInjector(plan)
-    checker = InvariantChecker(engine, raise_on_violation=False)
-    install(injector)
-    try:
-        faulted = _drive(checker, engine)
-        result.faulted_tpmc = faulted["tpmc"]
-        result.faulted_qphh = faulted["qphh"]
-        result.transactions = faulted["transactions"]
-        result.aborted = faulted["aborted"]
-    except ReproError as exc:
-        # The engine did not absorb the faults (e.g. retry budget
-        # exhausted): report the failure instead of crashing the sweep.
-        result.survived = False
-        result.error = f"{type(exc).__name__}: {exc}"
-    finally:
-        deactivate()
-    # One final end-of-run consistency audit.
-    checker.check()
-    result.injected = dict(injector.injected)
-    result.detected = dict(injector.detected)
-    result.retries = injector.retries
-    result.checks = checker.checks
-    result.violations = list(checker.violations)
-    if result.violations:
-        result.survived = False
-    return result
+    return run_sweep(
+        SweepResult(
+            seed=seed,
+            rates=dict(rates.rates),
+            workload=workload,
+            plan_hash=plan.content_hash(),
+        ),
+        plan,
+        build,
+        drive,
+        engines_of=lambda engine: [engine],
+        audit=lambda engine: [],
+    )

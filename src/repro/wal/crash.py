@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.engine import PushTapEngine
-from repro.errors import ReproError, SimulatedCrash
+from repro.errors import ConfigError, ReproError, SimulatedCrash
 from repro.faults import injector as faults
 from repro.faults.injector import FaultInjector
 from repro.faults.invariants import InvariantChecker
@@ -147,6 +147,9 @@ def run_crash_sweep(
     """Run one crash-recovery cell; see the module docstring."""
     if hook not in CRASH_SWEEP_HOOKS:
         raise ReproError(f"unknown crash hook {hook!r}; expected {CRASH_SWEEP_HOOKS}")
+    if txns < 1:
+        # A cell with no transactions cannot crash and passes vacuously.
+        raise ConfigError(f"txns must be >= 1 (got {txns})")
     rate = _DEFAULT_RATES[hook] if rate is None else float(rate)
     build_params = dict(
         scale=scale,

@@ -164,3 +164,30 @@ class TestCLIRunner:
 
         with pytest.raises(SystemExit):
             main(["fig99"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig8b", "--metrics-out"],
+            ["fault-sweep", "--metrics-out"],
+            ["crash-sweep", "--out"],
+            ["serve", "--out"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unwritable_output_fails_before_running(self, argv, tmp_path, capsys):
+        from repro.experiments.__main__ import main
+
+        path = tmp_path / "missing-dir" / "out.json"
+        assert main(argv + [str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"error: cannot write {path}" in captured.err
+        assert captured.out == ""
+
+    def test_config_error_exits_2(self, capsys):
+        from repro.experiments.__main__ import main
+
+        assert main(["fault-sweep", "--intervals", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: intervals must be >= 1 (got 0)\n"
+        assert captured.out == ""

@@ -9,6 +9,7 @@ from repro.faults import plan as fault_plan
 from repro.faults.injector import FaultInjector, NoopInjector
 from repro.faults.invariants import InvariantChecker
 from repro.faults.plan import HOOKS, FaultPlan, FaultRates
+from repro.cluster.sweep import run_cluster_fault_sweep
 from repro.faults.sweep import run_fault_sweep
 from repro.pim.controller import OriginalController, PushTapController
 from repro.pim.device import Device
@@ -19,6 +20,7 @@ from repro.pim.executor import (
 )
 from repro.pim.pim_unit import PIMUnit
 from repro.pim.requests import LaunchRequest, OpType
+from repro.wal.crash import CRASH_SWEEP_HOOKS, run_crash_sweep
 
 from tests.conftest import ENGINE_KWARGS
 
@@ -332,12 +334,44 @@ class TestFaultSweep:
         # The injector is uninstalled afterwards.
         assert isinstance(faults.active(), NoopInjector)
 
-    def test_sweep_is_deterministic(self):
+    @pytest.mark.parametrize("sweep", ["engine", "cluster"])
+    def test_sweep_is_deterministic(self, sweep):
         kwargs = dict(
             intervals=2, txns_per_query=15,
             scale=ENGINE_KWARGS["scale"],
             defrag_period=ENGINE_KWARGS["defrag_period"],
         )
-        a = run_fault_sweep(2, self.RATES, **kwargs)
-        b = run_fault_sweep(2, self.RATES, **kwargs)
+        if sweep == "cluster":
+            rates = FaultRates.parse("twopc_coordinator_crash=0.25")
+            a = run_cluster_fault_sweep(2, rates, shards=2, **kwargs)
+            b = run_cluster_fault_sweep(2, rates, shards=2, **kwargs)
+            assert a.cross_shard_attempted > 0
+        else:
+            a = run_fault_sweep(2, self.RATES, **kwargs)
+            b = run_fault_sweep(2, self.RATES, **kwargs)
+        assert sum(a.injected.values()) > 0
         assert a.as_dict() == b.as_dict()
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: run_fault_sweep(1, TestFaultSweep.RATES, intervals=0),
+            lambda: run_fault_sweep(1, TestFaultSweep.RATES, intervals=-3),
+            lambda: run_fault_sweep(1, TestFaultSweep.RATES, txns_per_query=0),
+            lambda: run_fault_sweep(
+                1, TestFaultSweep.RATES, txns_per_query=0, workload="serve"
+            ),
+            lambda: run_cluster_fault_sweep(
+                1, FaultRates.parse("twopc_lost_prepare=0.25"), intervals=0
+            ),
+            lambda: run_crash_sweep(CRASH_SWEEP_HOOKS[0], 1, txns=0),
+        ],
+        ids=[
+            "intervals=0", "intervals=-3", "txns_per_query=0",
+            "serve-txns_per_query=0", "cluster-intervals=0", "crash-txns=0",
+        ],
+    )
+    def test_vacuous_cell_is_rejected(self, run):
+        """A cell that drives no work must not report survived=True."""
+        with pytest.raises(ConfigError):
+            run()
