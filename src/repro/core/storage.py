@@ -15,8 +15,8 @@ devices of a :class:`~repro.pim.memory.Rank`:
   dedicated, ADE-aligned region (§5.2, Fig. 6a).
 
 The same class serves both functional byte movement (``write_row`` /
-``read_row``) and scan planning for the OLAP operators
-(:meth:`TableStorage.column_scan_plan`).
+``read_row``, and ``write_rows`` for bulk loads) and scan planning for
+the OLAP operators (:meth:`TableStorage.column_scan_plan`).
 """
 
 from __future__ import annotations
@@ -208,6 +208,40 @@ class TableStorage:
             for slot in part.slots:
                 device = (slot.slot_index + rotation) % num_devices
                 self.rank.device_write(device, addr, packed[part.index][slot.slot_index])
+
+    def write_rows(self, rows: Sequence[Dict[str, Value]], start: int = 0) -> None:
+        """Pack and store ``rows`` at data rows ``start, start + 1, ...``.
+
+        The bulk-load form of :meth:`write_row`: the rows are packed once
+        (:meth:`~repro.format.layout.UnifiedLayout.pack_rows`), and since
+        a block's rotation is fixed and a part's rows sit contiguously in
+        it, every (block, part, slot) is a single device write. Rows that
+        would pass ``capacity_rows`` are rejected before any byte moves.
+        """
+        end = start + len(rows)
+        if start < 0 or end > self.capacity_rows:
+            raise MemoryError_(
+                f"data rows [{start}, {end}) out of range [0, {self.capacity_rows})"
+            )
+        if not rows:
+            return
+        packed = self.layout.pack_rows(rows)
+        num_devices = self.rank.num_devices
+        row = start
+        while row < end:
+            block, within = divmod(row, self.block_rows)
+            count = min(self.block_rows - within, end - row)
+            rotation = self.placement.rotation_of_block(block)
+            first = row - start
+            for part in self.layout.parts:
+                addr = self._data_blocks[part.index][block] + within * part.row_width
+                for slot in part.slots:
+                    device = (slot.slot_index + rotation) % num_devices
+                    matrix = packed[part.index][slot.slot_index]
+                    self.rank.device_write(
+                        device, addr, matrix[first : first + count].reshape(-1)
+                    )
+            row += count
 
     def read_row(
         self, ref: RowRef, columns: Optional[Sequence[str]] = None

@@ -9,7 +9,8 @@ need (:meth:`TableRuntime.region_rows`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence
+from itertools import islice
+from typing import Callable, Dict, Hashable, Iterable, Optional, Sequence, Tuple
 
 from repro import perf
 from repro.core.snapshot import SnapshotManager
@@ -20,6 +21,7 @@ from repro.format.schema import TableSchema, Value
 from repro.mvcc.manager import MVCCManager
 from repro.mvcc.metadata import RowRef
 from repro.olap.operators import RegionRows
+from repro.oltp.index import HashIndex
 
 __all__ = ["TableRuntime"]
 
@@ -117,18 +119,35 @@ class TableRuntime:
         self.storage.write_row(ref, values)
         return row_id
 
-    def load_rows(self, rows: Iterable[Dict[str, Value]]) -> int:
+    def load_rows(
+        self,
+        rows: Iterable[Dict[str, Value]],
+        index: Optional[Tuple[HashIndex, Callable[[Dict[str, Value]], Hashable]]] = None,
+    ) -> int:
         """Bulk-load initial rows into the data region (pre-MVCC).
 
         Rows must already be accounted in the MVCC manager's
-        ``initial_rows``; this writes their bytes in order.
+        ``initial_rows``. They stream in chunks of one block: each chunk
+        is written with one :meth:`TableStorage.write_rows
+        <repro.core.storage.TableStorage.write_rows>` call, then its keys
+        go into ``index`` (a ``(HashIndex, key_fn)`` pair) when given. A chunk that would load
+        more rows than the table was sized for raises before any of its
+        bytes are written. Returns the number of rows loaded.
         """
         count = 0
-        for row_id, values in enumerate(rows):
-            self.storage.write_row(RowRef("data", row_id), values)
-            count += 1
-        if count > self.mvcc.num_rows:
-            raise TransactionError(
-                f"loaded {count} rows but table was sized for {self.mvcc.num_rows}"
-            )
-        return count
+        it = iter(rows)
+        while True:
+            chunk = list(islice(it, self.storage.block_rows))
+            if not chunk:
+                return count
+            if count + len(chunk) > self.mvcc.num_rows:
+                raise TransactionError(
+                    f"loading {count + len(chunk)} rows but table "
+                    f"{self.name!r} was sized for {self.mvcc.num_rows}"
+                )
+            self.storage.write_rows(chunk, count)
+            if index is not None:
+                hash_index, key_fn = index
+                for row_id, values in enumerate(chunk, count):
+                    hash_index.insert(key_fn(values), row_id)
+            count += len(chunk)

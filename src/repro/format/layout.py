@@ -257,6 +257,31 @@ class UnifiedLayout:
             out.append(slots)
         return out
 
+    def pack_rows(self, rows: Sequence[Dict[str, Value]]) -> List[List[np.ndarray]]:
+        """Pack many rows at once: the bulk-load form of :meth:`pack_row`.
+
+        Returns ``out[part][slot]`` — an ``(n, row_width)`` uint8 matrix
+        whose row ``i`` equals ``pack_row(rows[i])[part][slot]``. Each
+        column is encoded once as a vector
+        (:meth:`~repro.format.schema.TableSchema.encode_rows`, which also
+        keeps :meth:`pack_row`'s validation errors) and sliced into its
+        slots.
+        """
+        encoded = self.schema.encode_rows(rows)
+        n = len(rows)
+        out: List[List[np.ndarray]] = []
+        for part in self.parts:
+            slots: List[np.ndarray] = []
+            for slot in part.slots:
+                buf = np.zeros((n, part.row_width), dtype=np.uint8)
+                for f in slot.fields:
+                    buf[:, f.slot_offset : f.slot_offset + f.length] = encoded[
+                        f.column
+                    ][:, f.col_offset : f.col_offset + f.length]
+                slots.append(buf)
+            out.append(slots)
+        return out
+
     def unpack_row(self, packed: Sequence[Sequence[np.ndarray]]) -> Dict[str, Value]:
         """Inverse of :meth:`pack_row`."""
         if len(packed) != self.num_parts:

@@ -10,7 +10,9 @@ little-endian encoding, wider columns are treated as opaque byte strings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.errors import SchemaError
 
@@ -76,6 +78,33 @@ class Column:
             )
         return bytes(value).ljust(self.width, b"\x00")
 
+    def encode_vector(self, values: Sequence[Value]) -> Optional[np.ndarray]:
+        """Encode many values to an ``(n, width)`` uint8 matrix in one pass.
+
+        Row ``i`` equals ``encode(values[i])``. Returns None when any
+        value is not a plain ``int`` (int columns) or ``bytes``/``bytearray``
+        (bytes columns), or is out of range or too long: the caller then
+        encodes value by value, which raises :meth:`encode`'s own error.
+        """
+        n = len(values)
+        if self.kind == "int":
+            if not n:
+                return np.zeros((0, self.width), dtype=np.uint8)
+            if (
+                set(map(type, values)) != {int}
+                or min(values) < 0
+                or max(values) > self.max_int
+            ):
+                return None
+            words = np.array(values, dtype="<u8").view(np.uint8).reshape(n, 8)
+            return words[:, : self.width]
+        if not set(map(type, values)) <= {bytes, bytearray}:
+            return None
+        if n and max(map(len, values)) > self.width:
+            return None
+        joined = b"".join(v.ljust(self.width, b"\x00") for v in values)
+        return np.frombuffer(joined, dtype=np.uint8).reshape(n, self.width)
+
     def decode(self, raw: bytes) -> Value:
         """Decode ``width`` bytes back to a value."""
         if len(raw) != self.width:
@@ -139,6 +168,35 @@ class TableSchema:
         if missing:
             raise SchemaError(f"row for table {self.name!r} missing columns {missing}")
         return {c.name: c.encode(values[c.name]) for c in self.columns}
+
+    def encode_rows(self, rows: Sequence[Dict[str, Value]]) -> Dict[str, np.ndarray]:
+        """Encode many rows to one ``(n, width)`` uint8 matrix per column.
+
+        Row ``i`` of each matrix equals ``encode_row(rows[i])[name]``.
+        Every column is checked and encoded as one vector; if any value
+        fails the vector checks (or a row lacks a column), the rows are
+        re-encoded one at a time with :meth:`encode_row`, so the first
+        bad row raises exactly the error it raises on its own.
+        """
+        matrices: Dict[str, np.ndarray] = {}
+        for col in self.columns:
+            try:
+                values = [row[col.name] for row in rows]
+            except KeyError:
+                break
+            matrix = col.encode_vector(values)
+            if matrix is None:
+                break
+            matrices[col.name] = matrix
+        else:
+            return matrices
+        encoded = [self.encode_row(row) for row in rows]
+        return {
+            c.name: np.frombuffer(
+                b"".join(e[c.name] for e in encoded), dtype=np.uint8
+            ).reshape(len(rows), c.width)
+            for c in self.columns
+        }
 
     def decode_row(self, raw: Dict[str, bytes]) -> Dict[str, Value]:
         """Decode per-column byte strings back to a row dict."""
